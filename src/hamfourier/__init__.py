@@ -10,8 +10,8 @@ from .bounds import (
 )
 from .evolution import (
     TrotterSchedule,
-    TwoQubitGate,
     amplitude,
+    amplitudes,
     exact_evolve,
     heisenberg_gate,
     trotter_evolve,
@@ -31,11 +31,12 @@ from .hamiltonians import (
     CouplingSpec,
     EigenCache,
     SectorBasis,
-    SpectralCache,
+    SpectralMeasure,
     apply_hamiltonian,
     sample_couplings,
     sector_eigensystem,
     spectral_bound,
+    spectral_measure,
     spectral_weights,
 )
 from .labels import (

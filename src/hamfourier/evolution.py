@@ -1,5 +1,5 @@
-"""Time evolution under a coupling spec: exact (sector-spectral) and
-second-order Trotter.
+"""Time evolution under a coupling spec: exact (dense sector-spectral),
+amplitudes A(t) from the Lanczos measure, and second-order Trotter.
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -19,10 +19,9 @@ import numpy as np
 
 from .hamiltonians import (
     CouplingSpec,
-    DimensionError,
     EigenCache,
     occupied_magnetizations,
-    spectral_weights,
+    spectral_measure,
 )
 from .states import StateVector
 
@@ -52,16 +51,7 @@ class TrotterSchedule:
         return ",".join(str(s) for s in self.steps)
 
 
-@dataclass(frozen=True)
-class TwoQubitGate:
-    """4x4 unitary acting on the adjacent pair (m, m+1)."""
-
-    matrix: np.ndarray
-    qubits: tuple[int, int] | None = None
-
-
-def heisenberg_gate(j: float, dt: float,
-                    qubits: tuple[int, int] | None = None) -> TwoQubitGate:
+def heisenberg_gate(j: float, dt: float) -> np.ndarray:
     """exp(-i·θ·(XX+YY+ZZ)) with θ = j·dt, in closed form.
 
     |00> and |11> pick up e^{-iθ}; on span{|01>, |10>} the bond term is
@@ -75,7 +65,7 @@ def heisenberg_gate(j: float, dt: float,
     mid = np.exp(1j * theta)
     u[1, 1] = u[2, 2] = mid * np.cos(2 * theta)
     u[1, 2] = u[2, 1] = mid * (-1j) * np.sin(2 * theta)
-    return TwoQubitGate(matrix=u, qubits=qubits)
+    return u
 
 
 def _apply_pair_gate(vec: np.ndarray, u: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -84,12 +74,11 @@ def _apply_pair_gate(vec: np.ndarray, u: np.ndarray, m: int, n: int) -> np.ndarr
     return np.einsum("ab,ibj->iaj", u, block).reshape(-1)
 
 
-def _layer_gates(spec: CouplingSpec, parity: int, dt: float) -> list[TwoQubitGate]:
-    return [
-        heisenberg_gate(j, dt, qubits=(m, m + 1))
-        for m, j in enumerate(spec.couplings)
-        if m % 2 == parity
-    ]
+def _layer_gates(spec: CouplingSpec, parity: int,
+                 dt: float) -> list[tuple[int, np.ndarray]]:
+    """(m, gate on qubits m, m+1) for the bonds of one parity."""
+    return [(m, heisenberg_gate(j, dt)) for m, j in enumerate(spec.couplings)
+            if m % 2 == parity]
 
 
 def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
@@ -108,8 +97,8 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     vec = v.amplitudes.copy()
     for _ in range(n_step):
         for layer in (half_odd, full_even, half_odd):
-            for gate in layer:
-                vec = _apply_pair_gate(vec, gate.matrix, gate.qubits[0], n)
+            for m, gate in layer:
+                vec = _apply_pair_gate(vec, gate, m, n)
     return StateVector(n=n, amplitudes=vec)
 
 
@@ -125,17 +114,24 @@ def exact_evolve(spec: CouplingSpec, v: StateVector, t: float,
     out = np.zeros(2**n, dtype=complex)
     for k in occupied_magnetizations(n, v.amplitudes):
         evals, evecs, basis = cache.sector(spec, k)
-        comp = v.amplitudes[basis.states]
-        coeff = evecs.T @ comp
+        coeff = evecs.T @ v.amplitudes[basis.states]
         out[basis.states] = evecs @ (np.exp(-1j * evals * t) * coeff)
     return StateVector(n=n, amplitudes=out)
 
 
-def amplitude(spec: CouplingSpec, psi: StateVector, t: float,
-              cache: EigenCache | None = None) -> complex:
-    """A(t) = <psi|exp(-iHt)|psi> = sum_l p_l e^{-i λ_l t}; |A| <= 1."""
-    records = spectral_weights(spec, psi, cache)
-    total = 0j
-    for rec in records:
-        total += np.sum(rec.probabilities * np.exp(-1j * rec.eigenvalues * t))
-    return complex(total)
+def amplitudes(spec: CouplingSpec, psi: StateVector, times) -> np.ndarray:
+    """A(t) = <psi|exp(-iHt)|psi> = sum_j w_j e^{-i θ_j t} for every t in
+    times, from one spectral measure of psi certified on all of them;
+    |A| <= 1."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+
+    def phases(nodes):
+        return np.exp(-1j * np.outer(times, nodes))
+
+    return sum(phases(rec.eigenvalues) @ rec.probabilities
+               for rec in spectral_measure(spec, psi, phases))
+
+
+def amplitude(spec: CouplingSpec, psi: StateVector, t: float) -> complex:
+    """A(t) at a single time."""
+    return complex(amplitudes(spec, psi, [t])[0])

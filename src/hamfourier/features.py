@@ -9,7 +9,9 @@ the times t_l = lπ/C:
 
 Three backends produce it:
 
-  exact          A(t_l) from the sector-spectral oracle.
+  exact          A(t_l) from one spectral measure of ψ per sample
+                 (hamiltonians.spectral_measure: Lanczos, certified on
+                 every A(t_l), or dense eigh for sectors below 100 states).
   hadamard-shots each quadrature estimated as the mean of N_shot ±1
                  outcomes with P(+1) = (1 + value)/2.
   overlap-shots  the four probabilities w_± = |<ψ_±|U(t)|ψ_+>|²,
@@ -34,15 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TrotterSchedule, amplitude, trotter_evolve
-from .hamiltonians import CouplingSpec, EigenCache, spectral_bound
+from .evolution import TrotterSchedule, amplitude, amplitudes, trotter_evolve
+from .hamiltonians import CouplingSpec, spectral_bound
 from .rng import ROLE_SHOTS, substream
 from .states import ReferenceEigenstate, StateVector, inner
 
 BACKENDS = ("exact", "hadamard-shots", "overlap-shots")
 
-#: circuit ids for substream derivation
-CIRCUIT_W_PLUS, CIRCUIT_W_MINUS, CIRCUIT_W_PLUS_I, CIRCUIT_W_MINUS_I = 0, 1, 2, 3
+#: circuit ids for substream derivation (overlap ids in as_dict order)
+OVERLAP_CIRCUITS = (CIRCUIT_W_PLUS, CIRCUIT_W_MINUS, CIRCUIT_W_PLUS_I,
+                    CIRCUIT_W_MINUS_I) = (0, 1, 2, 3)
 CIRCUIT_COS, CIRCUIT_SIN = 0, 1
 
 
@@ -114,36 +117,33 @@ def _check_spectral_fit(spec: CouplingSpec, cfg: FeatureMapConfig) -> None:
 def interleave(cos_vals: np.ndarray, sin_vals: np.ndarray) -> np.ndarray:
     """Assemble (cos_0, sin_1, cos_1, ..., sin_K, cos_K) from quadratures
     indexed l = 0..K (sin_vals[0] is unused: the l=0 sine vanishes)."""
-    k_max = len(cos_vals) - 1
-    x = np.empty(2 * k_max + 1)
-    x[0] = cos_vals[0]
-    for l in range(1, k_max + 1):
-        x[2 * l - 1] = sin_vals[l]
-        x[2 * l] = cos_vals[l]
+    x = np.empty(2 * len(cos_vals) - 1)
+    x[0::2] = cos_vals
+    x[1::2] = sin_vals[1:]
     return x
 
 
-def _amplitudes(spec: CouplingSpec, psi: StateVector, cfg: FeatureMapConfig,
-                cache: EigenCache | None) -> np.ndarray:
+def _amplitudes(spec: CouplingSpec, psi: StateVector,
+                cfg: FeatureMapConfig) -> np.ndarray:
     """A(t_l) for l = 0..K: Trotterized when a schedule is present, exact
     (spectral) otherwise."""
     times = cfg.times()
     if cfg.schedule is None:
-        return np.array([amplitude(spec, psi, t, cache) for t in times])
+        return amplitudes(spec, psi, times)
     return np.array([
         inner(psi, trotter_evolve(spec, psi, t, cfg.schedule[l]))
         for l, t in enumerate(times)
     ])
 
 
-def exact_features(spec: CouplingSpec, psi: StateVector, cfg: FeatureMapConfig,
-                   cache: EigenCache | None = None) -> np.ndarray:
+def exact_features(spec: CouplingSpec, psi: StateVector,
+                   cfg: FeatureMapConfig) -> np.ndarray:
     """Noise-free feature vector from the spectral oracle; x[0] = 1 and
     every |x_k| <= 1."""
     if cfg.backend != "exact":
         raise ConfigError(f"exact_features needs backend 'exact', got {cfg.backend!r}")
     _check_spectral_fit(spec, cfg)
-    amps = np.array([amplitude(spec, psi, t, cache) for t in cfg.times()])
+    amps = amplitudes(spec, psi, cfg.times())
     return interleave(amps.real, amps.imag)
 
 
@@ -163,7 +163,7 @@ def overlaps_from_amplitude(a: complex, lambda_ref: float,
     )
 
 
-def _check_orthogonal(psi: StateVector, ref: ReferenceEigenstate) -> None:
+def check_orthogonal(psi: StateVector, ref: ReferenceEigenstate) -> None:
     overlap = psi.amplitudes[int(ref.bitstring, 2)]
     if abs(overlap) > 1e-10:
         raise ValueError(
@@ -173,11 +173,10 @@ def _check_orthogonal(psi: StateVector, ref: ReferenceEigenstate) -> None:
 
 
 def exact_overlaps(spec: CouplingSpec, psi: StateVector,
-                   ref: ReferenceEigenstate, t: float,
-                   cache: EigenCache | None = None) -> OverlapProbabilities:
+                   ref: ReferenceEigenstate, t: float) -> OverlapProbabilities:
     """Exact w's for the reference-superposition measurement at time t."""
-    _check_orthogonal(psi, ref)
-    return overlaps_from_amplitude(amplitude(spec, psi, t, cache),
+    check_orthogonal(psi, ref)
+    return overlaps_from_amplitude(amplitude(spec, psi, t),
                                    ref.eigenvalue, t)
 
 
@@ -199,14 +198,9 @@ def sample_overlaps(w: OverlapProbabilities, n_shot: int,
     each coordinate is an unbiased estimate of the exact probability."""
     if n_shot < 1:
         raise ValueError(f"n_shot must be >= 1, got {n_shot}")
-    return OverlapProbabilities(
-        w_plus=_binomial_frequency(w.w_plus, n_shot, rng),
-        w_minus=_binomial_frequency(w.w_minus, n_shot, rng),
-        w_plus_i=_binomial_frequency(w.w_plus_i, n_shot, rng),
-        w_minus_i=_binomial_frequency(w.w_minus_i, n_shot, rng),
-        t=w.t,
-        lambda_ref=w.lambda_ref,
-    )
+    return OverlapProbabilities(**{
+        name: _binomial_frequency(p, n_shot, rng) for name, p in w.as_dict().items()
+    }, t=w.t, lambda_ref=w.lambda_ref)
 
 
 def hadamard_estimate(a: complex, part: str, n_shot: int,
@@ -225,25 +219,26 @@ def hadamard_estimate(a: complex, part: str, n_shot: int,
 
 
 def reconstructed_features(spec: CouplingSpec, psi: StateVector,
-                           ref: ReferenceEigenstate, cfg: FeatureMapConfig,
-                           cache: EigenCache | None = None) -> np.ndarray:
-    """Infinite-shot feature vector through the overlap route: exact w's at
-    each t_l (Trotterized evolution when a schedule is present), recombined.
-    With no schedule this equals exact_features to rounding."""
+                           ref: ReferenceEigenstate,
+                           cfg: FeatureMapConfig) -> np.ndarray:
+    """Infinite-shot feature vector (Trotterized when a schedule is present):
+    A(t_l) as the Hadamard test reads it, or else exact overlap w's
+    recombined, which needs psi orthogonal to the reference.  With no
+    schedule this equals exact_features to rounding."""
     _check_spectral_fit(spec, cfg)
-    _check_orthogonal(psi, ref)
-    amps = _amplitudes(spec, psi, cfg, cache)
-    rec = np.array([
-        reconstruct_amplitude(overlaps_from_amplitude(a, ref.eigenvalue, t))
-        for a, t in zip(amps, cfg.times())
-    ])
-    return interleave(rec.real, rec.imag)
+    amps = _amplitudes(spec, psi, cfg)
+    if cfg.backend != "hadamard-shots":
+        check_orthogonal(psi, ref)
+        amps = np.array([
+            reconstruct_amplitude(overlaps_from_amplitude(a, ref.eigenvalue, t))
+            for a, t in zip(amps, cfg.times())
+        ])
+    return interleave(amps.real, amps.imag)
 
 
 def noisy_features(spec: CouplingSpec, psi: StateVector,
                    ref: ReferenceEigenstate, cfg: FeatureMapConfig,
-                   sample_index: int = 0,
-                   cache: EigenCache | None = None) -> np.ndarray:
+                   sample_index: int = 0) -> np.ndarray:
     """Shot-noise-simulated feature vector.
 
     Sampling draws from the exactly computed outcome probabilities instead
@@ -260,7 +255,7 @@ def noisy_features(spec: CouplingSpec, psi: StateVector,
         raise ConfigError("sampling requires n_shot >= 1")
     _check_spectral_fit(spec, cfg)
     times = cfg.times()
-    amps = _amplitudes(spec, psi, cfg, cache)
+    amps = _amplitudes(spec, psi, cfg)
 
     def stream(l: int, circuit: int) -> np.random.Generator:
         return substream(cfg.seed, ROLE_SHOTS, sample_index, l, circuit)
@@ -274,21 +269,13 @@ def noisy_features(spec: CouplingSpec, psi: StateVector,
             sin_vals[l] = hadamard_estimate(a, "imag", cfg.n_shot,
                                             stream(l, CIRCUIT_SIN))
     else:
-        _check_orthogonal(psi, ref)
+        check_orthogonal(psi, ref)
         for l, (a, t) in enumerate(zip(amps, times)):
-            w = overlaps_from_amplitude(a, ref.eigenvalue, t)
-            est = OverlapProbabilities(
-                w_plus=_binomial_frequency(w.w_plus, cfg.n_shot,
-                                           stream(l, CIRCUIT_W_PLUS)),
-                w_minus=_binomial_frequency(w.w_minus, cfg.n_shot,
-                                            stream(l, CIRCUIT_W_MINUS)),
-                w_plus_i=_binomial_frequency(w.w_plus_i, cfg.n_shot,
-                                             stream(l, CIRCUIT_W_PLUS_I)),
-                w_minus_i=_binomial_frequency(w.w_minus_i, cfg.n_shot,
-                                              stream(l, CIRCUIT_W_MINUS_I)),
-                t=t,
-                lambda_ref=ref.eigenvalue,
-            )
+            w = overlaps_from_amplitude(a, ref.eigenvalue, t).as_dict()
+            est = OverlapProbabilities(**{
+                name: _binomial_frequency(p, cfg.n_shot, stream(l, circuit))
+                for circuit, (name, p) in zip(OVERLAP_CIRCUITS, w.items())
+            }, t=t, lambda_ref=ref.eigenvalue)
             rec = reconstruct_amplitude(est)
             cos_vals[l] = rec.real
             sin_vals[l] = rec.imag

@@ -5,23 +5,32 @@ H = sum_{m=0}^{n-2} J_m (X_m X_{m+1} + Y_m Y_{m+1} + Z_m Z_{m+1})
 Bit convention (global, used by every module): qubit 0 is the most
 significant bit of a basis index, so |b0 b1 ... b_{n-1}> lives at index
 int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
-popcount), which lets us diagonalize one sector block at a time instead of
-the full 2^n matrix.
+popcount), which lets us work on one sector block at a time instead of
+the full 2^n matrix: by certified Lanczos quadrature from matrix-free H·v
+(spectral_measure) or by dense eigh (spectral_weights, the test oracle).
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-#: Largest sector block we will densely diagonalize (covers n=16 at half
-#: filling).  Exceeding it raises ResourceLimitError instead of silently
-#: densifying.
+#: Largest sector block either oracle handles (covers n=16 at half
+#: filling): the dense one holds d×d matrices, the Lanczos one a d-vector
+#: per Krylov step.  Exceeding it raises ResourceLimitError.
 SECTOR_DIM_CAP = 20_000
+
+#: Lanczos certificate: the depth grows by LANCZOS_STEP until the requested
+#: integrals move by at most LANCZOS_TOL·max(1, |value|) between checkpoints.
+LANCZOS_TOL = 1e-13
+LANCZOS_STEP = 8
+#: Smaller sectors are diagonalized densely, which is cheaper there: the
+#: per-sample crossover for K=11 features lies between d=70 and d=126.
+LANCZOS_MIN_DIM = 100
 
 
 class DimensionError(ValueError):
@@ -29,7 +38,7 @@ class DimensionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A sector block exceeds the configured dense-diagonalization cap."""
+    """A sector block exceeds the configured dimension cap."""
 
 
 @dataclass(frozen=True)
@@ -72,19 +81,20 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.states)
 
-    def index_map(self) -> dict[int, int]:
-        return {int(s): i for i, s in enumerate(self.states)}
-
 
 @dataclass(frozen=True)
-class SpectralCache:
-    """Eigenvalues of one sector block and the weights p_l = |<λ_l|ψ>|² of a
-    fixed state ψ on its eigenvectors.  Enough to evaluate any spectral
-    function of H against ψ without touching the eigenvectors again."""
+class SpectralMeasure:
+    """Measure of a state ψ on one sector: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>.
+
+    Dense records hold all eigenvalues and p_l = |<λ_l|ψ>|² (depth d, gap
+    0); Lanczos records hold Gauss nodes and weights, the Krylov depth, and
+    the last relative change of the certified integrals (0: exhausted)."""
 
     magnetization: int
     eigenvalues: np.ndarray = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
+    depth: int
+    gap: float
 
 
 def sample_couplings(n: int, rng: np.random.Generator) -> CouplingSpec:
@@ -109,79 +119,89 @@ def spectral_bound(spec: CouplingSpec) -> float:
     return 3.0 * float(np.sum(np.abs(spec.couplings)))
 
 
-def _bit_positions(n: int, m: int) -> tuple[int, int]:
-    # qubit m <-> bit position n-1-m (qubit 0 is the MSB)
-    return n - 1 - m, n - 2 - m
+def _state_array(spec: CouplingSpec, v) -> np.ndarray:
+    vec = np.asarray(getattr(v, "amplitudes", v))
+    if vec.shape != (2**spec.n,):
+        raise DimensionError(f"state has shape {vec.shape}, expected ({2**spec.n},)")
+    return vec
 
 
 def apply_hamiltonian(spec: CouplingSpec, v) -> np.ndarray:
-    """Matrix-free H·v over the full 2^n space.
-
-    Per bond: Z_m Z_{m+1} contributes ±J_m on the diagonal (+ for equal bits)
-    and X_m X_{m+1} + Y_m Y_{m+1} swaps |01> <-> |10> with amplitude 2 J_m.
-    Components never leave their magnetization sector.
-    """
-    vec = np.asarray(getattr(v, "amplitudes", v))
-    n = spec.n
-    if vec.shape != (2**n,):
-        raise DimensionError(f"state has shape {vec.shape}, expected ({2**n},)")
-    idx = np.arange(2**n)
-    out = np.zeros(2**n, dtype=complex)
-    for m, j in enumerate(spec.couplings):
-        p_hi, p_lo = _bit_positions(n, m)
-        differ = ((idx >> p_hi) ^ (idx >> p_lo)) & 1 == 1
-        sign = np.where(differ, -1.0, 1.0)
-        out += j * sign * vec
-        flip = (1 << p_hi) | (1 << p_lo)
-        out[idx[differ]] += 2.0 * j * vec[idx[differ] ^ flip]
+    """Matrix-free H·v over the full 2^n space, one sector block at a time,
+    so components never leave their magnetization sector."""
+    vec = _state_array(spec, v)
+    out = np.zeros(2**spec.n, dtype=complex)
+    for k in occupied_magnetizations(spec.n, vec):
+        basis, apply = _sector_operator(spec, k)
+        out[basis.states] = apply(vec[basis.states])
     return out
 
 
-def sector_states(n: int, magnetization: int) -> SectorBasis:
-    """Ascending integer basis of the popcount-k sector."""
+@functools.lru_cache(maxsize=32)
+def _sector_pattern(n: int, magnetization: int):
+    """Coupling-independent structure of one sector block, built once per
+    (n, magnetization) and read-only: the basis, the Z_m Z_{m+1} sign of
+    every bond on every basis state (shape (n-1, d)), and the (rows, cols,
+    bonds) entries of the bond flips |01> <-> |10>."""
     if not 0 <= magnetization <= n:
-        raise DimensionError(
-            f"magnetization {magnetization} outside 0..{n}"
-        )
-    ints = sorted(
+        raise DimensionError(f"magnetization {magnetization} outside 0..{n}")
+    states = np.array(sorted(
         sum(1 << (n - 1 - q) for q in ones)
         for ones in combinations(range(n), magnetization)
-    )
-    return SectorBasis(n=n, magnetization=magnetization,
-                       states=np.array(ints, dtype=np.int64))
+    ), dtype=np.int64)
+    bits = (states >> (n - 1 - np.arange(n))[:, None]) & 1  # bits[q] = qubit q
+    differ = bits[:-1] != bits[1:]
+    signs = np.where(differ, -1.0, 1.0)
+    bonds, cols = np.nonzero(differ)
+    rows = np.searchsorted(states, states[cols] ^ (3 << (n - 2 - bonds)))
+    for arr in (states, signs, rows, cols, bonds):
+        arr.flags.writeable = False
+    return SectorBasis(n, magnetization, states), signs, rows, cols, bonds
+
+
+def _check_dim(n: int, magnetization: int, dim_cap: int) -> None:
+    if (dim := math.comb(n, magnetization)) > dim_cap:
+        raise ResourceLimitError(f"sector (n={n}, magnetization={magnetization})"
+                                 f" has dimension {dim} > cap {dim_cap}")
+
+
+def _sector_operator(spec: CouplingSpec, magnetization: int):
+    """(basis, x -> H·x) of one sector block, matrix-free: per bond, Z Z adds
+    ±J_m on the diagonal (+ for equal bits) and X X + Y Y swaps |01> <-> |10>
+    with amplitude 2 J_m, all bonds in one bincount."""
+    basis, signs, rows, cols, bonds = _sector_pattern(spec.n, magnetization)
+    j = np.asarray(spec.couplings)
+    diag, vals = (j[:, None] * signs).sum(axis=0), 2.0 * j[bonds]
+
+    def hop(part):
+        return np.bincount(rows, vals * part[cols], minlength=basis.dim)
+
+    def apply(x):  # bincount weights are real: phases ±i need two passes
+        out = diag * x + hop(x.real)
+        return out + 1j * hop(x.imag) if np.iscomplexobj(x) else out
+
+    return basis, apply
+
+
+def sector_states(n: int, magnetization: int) -> SectorBasis:
+    """Ascending integer basis of the popcount-k sector (cached)."""
+    return _sector_pattern(n, magnetization)[0]
 
 
 def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
     """Dense real-symmetric block of H on one magnetization sector."""
-    states = basis.states
-    d = basis.dim
-    mat = np.zeros((d, d))
-    diag = np.zeros(d)
-    for m, j in enumerate(spec.couplings):
-        p_hi, p_lo = _bit_positions(basis.n, m)
-        differ = ((states >> p_hi) ^ (states >> p_lo)) & 1 == 1
-        diag += j * np.where(differ, -1.0, 1.0)
-        cols = np.nonzero(differ)[0]
-        flipped = states[cols] ^ ((1 << p_hi) | (1 << p_lo))
-        rows = np.searchsorted(states, flipped)
-        mat[rows, cols] += 2.0 * j
-    mat[np.diag_indices(d)] += diag
+    _, signs, rows, cols, bonds = _sector_pattern(basis.n, basis.magnetization)
+    j = np.asarray(spec.couplings)
+    mat = np.diag((j[:, None] * signs).sum(axis=0))  # bonds summed in order
+    mat[rows, cols] += 2.0 * j[bonds]
     return mat
 
 
-def sector_eigensystem(
-    spec: CouplingSpec,
-    magnetization: int,
-    dim_cap: int = SECTOR_DIM_CAP,
-) -> tuple[np.ndarray, np.ndarray, SectorBasis]:
+def sector_eigensystem(spec: CouplingSpec, magnetization: int,
+                       dim_cap: int = SECTOR_DIM_CAP):
     """Eigendecomposition (ascending eigenvalues, orthonormal columns) of the
     sector block, together with its basis."""
-    dim = math.comb(spec.n, magnetization)
-    if dim > dim_cap:
-        raise ResourceLimitError(
-            f"sector (n={spec.n}, magnetization={magnetization}) has dimension "
-            f"{dim} > cap {dim_cap}"
-        )
+    _check_dim(spec.n, magnetization, dim_cap)
     basis = sector_states(spec.n, magnetization)
     evals, evecs = np.linalg.eigh(sector_matrix(spec, basis))
     return evals, evecs, basis
@@ -209,36 +229,72 @@ class EigenCache:
 def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
     """Sectors carrying exactly nonzero amplitude (exact-zero test, so basis
     and superposition states never trigger spurious large-sector work)."""
-    idx = np.nonzero(vec)[0]
-    pops = {int(i).bit_count() for i in idx}
-    return sorted(pops)
+    return sorted({int(i).bit_count() for i in np.nonzero(vec)[0]})
 
 
-def spectral_weights(
-    spec: CouplingSpec,
-    v,
-    cache: EigenCache | None = None,
-) -> list[SpectralCache]:
-    """Per-sector (eigenvalues, p_l) records for a state.
-
-    For a normalized state the probabilities across all returned records sum
-    to 1; a single record covers single-sector states like the domain wall.
-    """
-    vec = np.asarray(getattr(v, "amplitudes", v))
-    n = spec.n
-    if vec.shape != (2**n,):
-        raise DimensionError(f"state has shape {vec.shape}, expected ({2**n},)")
+def spectral_weights(spec: CouplingSpec, v,
+                     cache: EigenCache | None = None) -> list[SpectralMeasure]:
+    """Per-sector dense (eigenvalues, p_l) records for a state; for a
+    normalized state the probabilities of all records sum to 1."""
+    vec = _state_array(spec, v)
     cache = cache if cache is not None else EigenCache()
+    return [_dense_record(k, vec, cache.sector(spec, k))
+            for k in occupied_magnetizations(spec.n, vec)]
+
+
+def _dense_record(k: int, vec: np.ndarray, eigensystem) -> SpectralMeasure:
+    evals, evecs, basis = eigensystem
+    amps = evecs.T @ vec[basis.states]  # <λ_l|ψ>, eigenvectors are real
+    return SpectralMeasure(k, evals, np.abs(amps) ** 2, basis.dim, gap=0.0)
+
+
+def spectral_measure(spec: CouplingSpec, v, integrand) -> list[SpectralMeasure]:
+    """Certified Gauss quadrature of a state's measure, one record per
+    occupied sector: Lanczos from the sector component c gives a depth-m
+    tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes and weights
+    ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant, 2010).  The
+    integrals of integrand(θ) (nodes on the last axis) certify the depth.
+    Sectors below LANCZOS_MIN_DIM get the exact dense record instead."""
+    vec = _state_array(spec, v)
+    breakdown = 1e-12 * spectral_bound(spec)  # residual of an invariant space
     records = []
-    for k in occupied_magnetizations(n, vec):
-        evals, evecs, basis = cache.sector(spec, k)
+    for k in occupied_magnetizations(spec.n, vec):
+        if math.comb(spec.n, k) < LANCZOS_MIN_DIM:
+            records.append(_dense_record(k, vec, sector_eigensystem(spec, k)))
+            continue
+        _check_dim(spec.n, k, SECTOR_DIM_CAP)
+        basis, apply = _sector_operator(spec, k)
+        d = basis.dim
         comp = vec[basis.states]
-        amps = evecs.T @ comp  # <λ_l|ψ>, eigenvectors are real
-        records.append(SpectralCache(
-            magnetization=k,
-            eigenvalues=evals,
-            probabilities=np.abs(amps) ** 2,
-        ))
+        comp = comp.real if not np.any(comp.imag) else comp
+        weight = float(np.vdot(comp, comp).real)
+        r, krylov = comp / math.sqrt(weight), np.empty((0, d), comp.dtype)
+        alphas, betas, prev = [], [], np.inf  # first checkpoint: gap inf
+        while True:  # grow the basis by LANCZOS_STEP rows per checkpoint
+            m0 = len(alphas)
+            krylov = np.concatenate(
+                [krylov, np.empty((min(LANCZOS_STEP, d - m0), d), r.dtype)])
+            for i in range(m0, len(krylov)):
+                krylov[i], r = r, apply(r)
+                alphas.append(np.vdot(krylov[i], r).real)
+                for _ in range(2):  # classical Gram-Schmidt, twice
+                    r = r - np.conj(krylov[:i + 1] @ np.conj(r)) @ krylov[:i + 1]
+                betas.append(np.linalg.norm(r))
+                exhausted = i + 1 == d or betas[-1] <= breakdown  # exact
+                if exhausted:
+                    break
+                r = r / betas[-1]
+            off = betas[:-1]
+            nodes, u = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1)
+                                      + np.diag(off, -1))
+            weights = weight * u[0] ** 2
+            value = integrand(nodes) @ weights
+            gap = 0.0 if exhausted else float(
+                np.max(np.abs(value - prev) / np.maximum(1.0, np.abs(value))))
+            if gap <= LANCZOS_TOL:
+                break
+            prev = value
+        records.append(SpectralMeasure(k, nodes, weights, len(alphas), gap))
     return records
 
 
@@ -253,7 +309,3 @@ def coupling_record(spec: CouplingSpec) -> dict:
 def coupling_from_record(record: dict) -> CouplingSpec:
     return CouplingSpec(n=int(record["n"]),
                         couplings=tuple(float(j) for j in record["couplings"]))
-
-
-def coupling_from_json(line: str) -> CouplingSpec:
-    return coupling_from_record(json.loads(line))

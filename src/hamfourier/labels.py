@@ -1,7 +1,8 @@
 """Target functions f and exact labels y = Tr[f(H)ρ].
 
-Labels come from the same sector-spectral oracle as the exact features:
-y = sum_l p_l f(λ_l) over the occupied sectors.
+Labels integrate f against the spectral measure of ψ: y = sum_j w_j f(θ_j).
+A smooth f uses the Lanczos measure certified on y (as the exact features
+do); a step, where Gauss quadrature does not converge, the dense sector eigh.
 
 Sign convention: the sine-type basis functions carry a minus sign,
 matching the feature quadratures (x_sin,l = Im Tr[e^{-ilπH/C}ρ]
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CouplingSpec, EigenCache, spectral_weights
+from .hamiltonians import CouplingSpec, spectral_measure, spectral_weights
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -135,10 +136,12 @@ def eval_f(fspec: FunctionSpec, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec,
-          cache: EigenCache | None = None) -> float:
-    """y = Tr[f(H)ρ] = sum_l p_l f(λ_l); |y| <= sup_norm."""
-    total = 0.0
-    for rec in spectral_weights(spec, psi, cache):
-        total += float(np.sum(rec.probabilities * eval_f(fspec, rec.eigenvalues)))
-    return total
+def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec) -> float:
+    """y = Tr[f(H)ρ] = sum_j w_j f(θ_j); |y| <= sup_norm."""
+    def f(nodes):
+        return eval_f(fspec, nodes)
+
+    records = (spectral_weights(spec, psi) if fspec.kind == "step"
+               else spectral_measure(spec, psi, f))
+    return float(sum(np.sum(rec.probabilities * f(rec.eigenvalues))
+                     for rec in records))

@@ -17,17 +17,16 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import features as ft
 from . import labels as lb
-from .evolution import TrotterSchedule
+from .evolution import TrotterSchedule, amplitudes
 from .hamiltonians import (
     CouplingSpec,
-    EigenCache,
     coupling_from_record,
     coupling_record,
     sample_couplings,
@@ -41,7 +40,7 @@ from .regression import (
     fit_ols,
     fit_ridge,
 )
-from .rng import ROLE_COUPLINGS, ROLE_SPLIT, ROLE_VALID, substream
+from .rng import ROLE_COUPLINGS, ROLE_SHOTS, ROLE_SPLIT, ROLE_VALID, substream
 from .states import StateVector, basis_state, domain_wall, reference_eigenstate
 
 SEED_ENV_VAR = "HAMFOURIER_SEED"
@@ -121,16 +120,9 @@ class ExperimentConfig:
         return {"basis": self.state}
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "num": self.num, "split": self.split,
-            "seed": self.seed, "k": self.k, "c": self.c,
-            "backend": self.backend, "shots": self.shots,
-            "schedule": self.schedule, "method": self.method,
-            "w_bound": self.w_bound, "alpha": self.alpha,
-            "f_kind": self.f_kind, "beta": self.beta,
-            "coeffs": list(self.coeffs) if self.coeffs is not None else None,
-            "state": self.state,
-        }
+        d = asdict(self)  # field order is the sidecar's key order
+        d["coeffs"] = list(self.coeffs) if self.coeffs is not None else None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -196,7 +188,7 @@ def cmd_generate(config: ExperimentConfig, out_path) -> Path:
     for i in range(config.num):
         rng = substream(config.seed, ROLE_COUPLINGS, i)
         spec = sample_couplings(config.n, rng)
-        y = lb.label(spec, psi, fspec, EigenCache())
+        y = lb.label(spec, psi, fspec)
         record = coupling_record(spec)
         record["state"] = config.state_descriptor()
         record["y"] = y
@@ -230,17 +222,16 @@ def compute_features(config: ExperimentConfig, spec: CouplingSpec,
     """Backend dispatch for one sample.
 
     exact without schedule -> spectral features; shots = 0 (any backend,
-    or exact with a schedule) -> noiseless overlap reconstruction of the
-    scheduled evolution; shot backends with shots >= 1 -> sampled.
+    or exact with a schedule) -> noiseless features of the scheduled
+    evolution; shot backends with shots >= 1 -> sampled.
     """
     cfg = config.feature_map()
-    cache = EigenCache()
     if cfg.backend == "exact" and cfg.schedule is None:
-        return ft.exact_features(spec, psi, cfg, cache)
+        return ft.exact_features(spec, psi, cfg)
     ref = reference_eigenstate(spec)
     if cfg.backend == "exact" or cfg.n_shot == 0:
-        return ft.reconstructed_features(spec, psi, ref, cfg, cache)
-    return ft.noisy_features(spec, psi, ref, cfg, sample_index, cache)
+        return ft.reconstructed_features(spec, psi, ref, cfg)
+    return ft.noisy_features(spec, psi, ref, cfg, sample_index)
 
 
 def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
@@ -353,27 +344,22 @@ def overlap_scatter(config: ExperimentConfig, dataset_path, out_path) -> Path:
     """Exact vs shot-estimated overlap probabilities for every sample, time
     index, and circuit (the four w's); rows at t = 0 show the degenerate
     peaks w_+ = 1 and w_±i = 1/2."""
-    from .features import exact_overlaps, sample_overlaps
-    from .rng import ROLE_SHOTS
-
     if config.shots < 1:
         raise ValueError("overlap scatter needs shots >= 1")
     rows = read_dataset(dataset_path)
     cfg = config.feature_map()
-    lines = ["sample,l,circuit,exact,estimated"]
+    lines, times = ["sample,l,circuit,exact,estimated"], cfg.times()
     for i, (spec, descriptor, _) in enumerate(rows):
         psi = state_from_descriptor(spec.n, descriptor)
         ref = reference_eigenstate(spec)
-        cache = EigenCache()
-        for l, t in enumerate(cfg.times()):
-            w = exact_overlaps(spec, psi, ref, t, cache)
-            est = sample_overlaps(w, config.shots,
-                                  substream(config.seed, ROLE_SHOTS, i, l))
-            for name in ("w_plus", "w_minus", "w_plus_i", "w_minus_i"):
-                lines.append(
-                    f"{i},{l},{name},{format_float(getattr(w, name))},"
-                    f"{format_float(getattr(est, name))}"
-                )
+        ft.check_orthogonal(psi, ref)
+        for l, (a, t) in enumerate(zip(amplitudes(spec, psi, times), times)):
+            w = ft.overlaps_from_amplitude(a, ref.eigenvalue, t)
+            est = ft.sample_overlaps(w, config.shots,
+                                     substream(config.seed, ROLE_SHOTS, i, l))
+            for name, exact in w.as_dict().items():
+                lines.append(f"{i},{l},{name},{format_float(exact)},"
+                             f"{format_float(getattr(est, name))}")
     atomic_write(out_path, "".join(line + "\n" for line in lines))
     return Path(out_path)
 
@@ -416,8 +402,9 @@ def cmd_reproduce(row: str, out_dir, seed: int | None = None,
     if row in _LARGE_ROWS:
         raise UnknownRowError(
             f"row {row!r} needs a 32- or 40-qubit register; its half-filling "
-            f"sector exceeds the dense-diagonalization cap, so it is not a "
-            f"desk-scale target. Supported rows: {sorted(REPRODUCE_ROWS)}"
+            f"sector (C(32,16) ~ 6.0e8 amplitudes, 4.8 GB per real vector) "
+            f"exceeds sector-vector memory, so it is not a desk-scale target. "
+            f"Supported rows: {sorted(REPRODUCE_ROWS)}"
         )
     if row not in REPRODUCE_ROWS:
         raise UnknownRowError(

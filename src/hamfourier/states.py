@@ -1,8 +1,6 @@
 """Computational-basis, domain-wall, and reference-superposition states.
 
-States are stored dense (length 2^n, complex).  Helpers are provided to
-split a state into its magnetization-sector components and back; the round
-trip is lossless.
+States are stored dense (length 2^n, complex).
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import CouplingSpec, DimensionError, sector_states
+from .hamiltonians import CouplingSpec, DimensionError
 
 NORM_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -49,9 +47,6 @@ class ReferenceEigenstate:
     @property
     def n(self) -> int:
         return len(self.bitstring)
-
-    def state(self) -> StateVector:
-        return basis_state(self.n, self.bitstring)
 
 
 def _bits_to_index(bitstring: str) -> int:
@@ -107,25 +102,3 @@ def reference_eigenstate(spec: CouplingSpec) -> ReferenceEigenstate:
     return ReferenceEigenstate(bitstring="0" * spec.n,
                                eigenvalue=float(np.sum(spec.couplings)))
 
-
-# --- sector-compressed form ---------------------------------------------
-
-def sector_components(state: StateVector) -> dict[int, np.ndarray]:
-    """Split into {magnetization: amplitudes over the SectorBasis ordering},
-    keeping only sectors with exactly nonzero weight."""
-    out = {}
-    for k in range(state.n + 1):
-        basis = sector_states(state.n, k)
-        comp = state.amplitudes[basis.states]
-        if np.any(comp != 0):
-            out[k] = comp
-    return out
-
-
-def from_sector_components(n: int, components: dict[int, np.ndarray]) -> StateVector:
-    """Inverse of sector_components (lossless)."""
-    amps = np.zeros(2**n, dtype=complex)
-    for k, comp in components.items():
-        basis = sector_states(n, k)
-        amps[basis.states] = comp
-    return StateVector(n=n, amplitudes=amps)

@@ -20,7 +20,7 @@ from hamfourier.features import (
     noisy_features,
     reconstruct_amplitude,
 )
-from hamfourier.hamiltonians import EigenCache, apply_hamiltonian, sample_couplings
+from hamfourier.hamiltonians import apply_hamiltonian, sample_couplings
 from hamfourier.labels import fourier_series, label
 from hamfourier.pipeline import cmd_reproduce
 from hamfourier.regression import DesignMatrix, fit_constrained
@@ -77,9 +77,8 @@ def test_criterion_4_overlap_identity():
         psi = random_sector_state(n, int(rng.integers(1, n + 1)), rng)
         ref = reference_eigenstate(spec)
         t = float(rng.uniform(0, np.pi))
-        cache = EigenCache()
-        rec = reconstruct_amplitude(exact_overlaps(spec, psi, ref, t, cache))
-        worst = max(worst, abs(rec - amplitude(spec, psi, t, cache)))
+        rec = reconstruct_amplitude(exact_overlaps(spec, psi, ref, t))
+        worst = max(worst, abs(rec - amplitude(spec, psi, t)))
     ok = worst <= 1e-10
     report(4, ok, f"overlap reconstruction identity: worst |error| = "
                   f"{worst:.2e} over 100 random instances (<=1e-10)")
@@ -100,11 +99,10 @@ def test_criterion_5_hoeffding_shot_count():
     trials = 500
     for trial in range(trials):
         spec = sample_couplings(6, substream(master, 1, trial))
-        cache = EigenCache()
-        x = exact_features(spec, psi, cfg_exact, cache)
+        x = exact_features(spec, psi, cfg_exact)
         ref = reference_eigenstate(spec)
         x_tilde = noisy_features(spec, psi, ref, cfg_shot,
-                                 sample_index=trial, cache=cache)
+                                 sample_index=trial)
         if np.max(np.abs(x_tilde - x)) <= eta:
             hits += 1
     ok = hits >= 0.93 * trials
@@ -130,9 +128,8 @@ def test_criterion_6_expected_loss_bound():
         xs, ys = [], []
         for i in range(n_data + n_eval):
             spec = sample_couplings(6, substream(master, 1, e, i))
-            cache = EigenCache()
-            xs.append(exact_features(spec, psi, cfg, cache))
-            ys.append(label(spec, psi, fspec, cache))
+            xs.append(exact_features(spec, psi, cfg))
+            ys.append(label(spec, psi, fspec))
         xs, ys = np.array(xs), np.array(ys)
         model = fit_constrained(DesignMatrix(X=xs[:n_data], y=ys[:n_data]),
                                 w_budget)
@@ -175,9 +172,8 @@ def test_criterion_8_exact_expressibility():
     xs, ys = [], []
     for _ in range(60):
         spec = random_spec(6, rng)
-        cache = EigenCache()
-        xs.append(exact_features(spec, psi, cfg, cache))
-        ys.append(label(spec, psi, fspec, cache))
+        xs.append(exact_features(spec, psi, cfg))
+        ys.append(label(spec, psi, fspec))
     data = DesignMatrix(X=np.array(xs), y=np.array(ys))
     model = fit_constrained(data, w_budget)
     train_mse = float(np.mean((data.y - data.X @ model.weights) ** 2))

@@ -30,7 +30,7 @@ BOND = dense_hamiltonian(CouplingSpec(n=2, couplings=(1.0,)))  # XX+YY+ZZ, 4x4
 
 class TestHeisenbergGate:
     def test_dt_zero_is_identity(self):
-        np.testing.assert_allclose(heisenberg_gate(0.7, 0.0).matrix, np.eye(4),
+        np.testing.assert_allclose(heisenberg_gate(0.7, 0.0), np.eye(4),
                                    atol=1e-15)
 
     def test_matches_matrix_exponential(self, rng):
@@ -39,12 +39,12 @@ class TestHeisenbergGate:
             j = rng.uniform(-2, 2)
             dt = rng.uniform(-3, 3)
             oracle = expm(-1j * j * dt * BOND)
-            np.testing.assert_allclose(heisenberg_gate(j, dt).matrix, oracle,
+            np.testing.assert_allclose(heisenberg_gate(j, dt), oracle,
                                        atol=1e-12)
 
     def test_quarter_pi_swaps_with_phase(self):
         # theta = pi/4: cos(2 theta) = 0, so |01> -> e^{i pi/4} (-i) |10>
-        u = heisenberg_gate(1.0, np.pi / 4).matrix
+        u = heisenberg_gate(1.0, np.pi / 4)
         out = u @ np.array([0, 1, 0, 0], dtype=complex)
         expected = np.zeros(4, dtype=complex)
         expected[2] = np.exp(1j * np.pi / 4) * (-1j)
@@ -52,7 +52,7 @@ class TestHeisenbergGate:
 
     def test_unitarity(self, rng):
         for _ in range(10):
-            u = heisenberg_gate(rng.uniform(-2, 2), rng.uniform(-3, 3)).matrix
+            u = heisenberg_gate(rng.uniform(-2, 2), rng.uniform(-3, 3))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
 

@@ -142,7 +142,7 @@ class TestExactOverlaps:
             k = rng.integers(1, n + 1)
             psi = random_sector_state(n, int(k), rng)
             ref = reference_eigenstate(spec)
-            ref_state = ref.state()
+            ref_state = basis_state(ref.n, ref.bitstring)
             plus = superpose(ref_state, psi, 1)
             t = float(rng.uniform(0, np.pi))
             evolved = exact_evolve(spec, plus, t)

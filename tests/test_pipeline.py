@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +168,24 @@ class TestFeatureStage:
                     for i in reversed(range(len(rows)))][::-1]
         for a, b in zip(forward, backward):
             np.testing.assert_array_equal(a, b)
+
+    def test_noiseless_hadamard_needs_no_orthogonality(self, rng):
+        # |0000> is not orthogonal to the overlap reference |0...0>, which
+        # only the overlap route needs; the noiseless Hadamard test reads A
+        from hamfourier.features import FeatureMapConfig, exact_features
+        from hamfourier.hamiltonians import sample_couplings
+        from hamfourier.states import basis_state
+        spec = sample_couplings(4, rng)
+        psi = basis_state(4, "0000")
+        config = ExperimentConfig(n=4, k=2, backend="hadamard-shots", shots=0)
+        x = compute_features(config, spec, psi, 0)
+        np.testing.assert_allclose(
+            x, exact_features(spec, psi, FeatureMapConfig(K=2, C=3.0)),
+            atol=1e-12)
+        assert compute_features(replace(config, shots=10), spec, psi, 0).shape == (5,)
+        with pytest.raises(ValueError, match="orthogonal"):
+            compute_features(replace(config, backend="overlap-shots"),
+                             spec, psi, 0)
 
 
 class TestSplit:
@@ -345,6 +368,17 @@ class TestReproduce:
         metrics = cmd_train_eval(config, d / "features.csv", d / "data.jsonl",
                                  d / "model.json", d / "metrics.json")
         assert metrics.to_dict() == result["metrics"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only extra; importing it would also cost set-up time
+    import hamfourier
+    src = str(Path(hamfourier.__file__).resolve().parents[1])
+    code = "import sys, hamfourier; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestCli:

@@ -6,10 +6,8 @@ from hamfourier.states import (
     StateVector,
     basis_state,
     domain_wall,
-    from_sector_components,
     inner,
     reference_eigenstate,
-    sector_components,
     superpose,
 )
 
@@ -117,7 +115,7 @@ class TestReferenceEigenstate:
             spec = random_spec(n, rng)
             ref = reference_eigenstate(spec)
             assert ref.bitstring == "0" * n
-            e = ref.state().amplitudes
+            e = basis_state(n, ref.bitstring).amplitudes
             residual = apply_hamiltonian(spec, e) - ref.eigenvalue * e
             assert np.linalg.norm(residual) <= 1e-12
 
@@ -130,14 +128,3 @@ class TestStateVector:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):
             StateVector(n=2, amplitudes=np.array([1.0, 0.0]))
-
-    def test_sector_roundtrip_is_lossless(self, rng):
-        v = random_dense_state(4, rng)
-        parts = sector_components(v)
-        back = from_sector_components(4, parts)
-        np.testing.assert_array_equal(back.amplitudes, v.amplitudes)
-
-    def test_sector_components_skip_empty(self, rng):
-        v = random_sector_state(5, 2, rng)
-        parts = sector_components(v)
-        assert list(parts) == [2]
