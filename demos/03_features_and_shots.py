@@ -8,53 +8,48 @@ import numpy as np
 
 from hamfourier import (
     FeatureMapConfig,
+    amplitudes,
     domain_wall,
-    exact_features,
-    exact_overlaps,
-    noisy_features,
-    reconstruct_amplitude,
-    reconstructed_features,
-    reference_eigenstate,
+    feature_vector,
+    overlap_frequencies,
+    overlap_reference,
+    overlaps_from_amplitudes,
+    reconstruct_amplitudes,
     sample_couplings,
-    sample_overlaps,
 )
 
 rng = np.random.default_rng(3)
 spec = sample_couplings(8, rng)
 psi = domain_wall(8)
-ref = reference_eigenstate(spec)
+lambda_ref = overlap_reference(spec, psi)
 
 print("=== exact feature vector (K=5, C=3) ===")
 cfg = FeatureMapConfig(K=5, C=3.0)
-x = exact_features(spec, psi, cfg)
+x = feature_vector(spec, psi, cfg)
 print("x =", np.round(x, 4))
 print("layout: (cos_0, sin_1, cos_1, ..., sin_5, cos_5); x0 = 1 always")
 
 print("\n=== overlap probabilities recombine into the same amplitudes ===")
-for t in (0.0, np.pi / 3):
-    w = exact_overlaps(spec, psi, ref, t)
-    rec = reconstruct_amplitude(w)
-    print(f"t = {t:.3f}: w+ = {w.w_plus:.4f}, w- = {w.w_minus:.4f}, "
-          f"w+i = {w.w_plus_i:.4f}, w-i = {w.w_minus_i:.4f} "
-          f"-> A = {rec:.6f}")
-rec_x = reconstructed_features(spec, psi, ref, FeatureMapConfig(
-    K=5, C=3.0, backend="overlap-shots", n_shot=0))
-print("max |reconstructed - exact feature| =", np.max(np.abs(rec_x - x)))
+times = cfg.times()
+amps = amplitudes(spec, psi, times)
+w = overlaps_from_amplitudes(amps, lambda_ref, times)
+rec = reconstruct_amplitudes(w, lambda_ref, times)
+for l in (0, 1):
+    print(f"t = {times[l]:.3f}: w+ = {w[l, 0]:.4f}, w- = {w[l, 1]:.4f}, "
+          f"w+i = {w[l, 2]:.4f}, w-i = {w[l, 3]:.4f} -> A = {rec[l]:.6f}")
+print("max |reconstructed - exact amplitude| =", np.max(np.abs(rec - amps)))
 
 print("\n=== shot noise shrinks as 1/sqrt(N_shot) ===")
-w = exact_overlaps(spec, psi, ref, np.pi / 3)
 for n_shot in (100, 10_000):
-    devs = []
-    for rep in range(200):
-        est = sample_overlaps(w, n_shot, np.random.default_rng(rep))
-        devs.append(est.w_plus - w.w_plus)
+    devs = [overlap_frequencies(w[1:2], n_shot, seed=0, sample_index=rep)[0, 0]
+            - w[1, 0] for rep in range(200)]
     print(f"N_shot = {n_shot:6d}: rms deviation of w+ = "
           f"{np.sqrt(np.mean(np.square(devs))):.5f}")
 
 print("\n=== noisy feature vectors are seeded and reproducible ===")
 cfg_shots = FeatureMapConfig(K=5, C=3.0, backend="overlap-shots",
                              n_shot=2000, seed=42)
-a = noisy_features(spec, psi, ref, cfg_shots, sample_index=0)
-b = noisy_features(spec, psi, ref, cfg_shots, sample_index=0)
+a = feature_vector(spec, psi, cfg_shots, sample_index=0)
+b = feature_vector(spec, psi, cfg_shots, sample_index=0)
 print("two runs identical:", np.array_equal(a, b))
 print("max |noisy - exact| at 2000 shots:", np.max(np.abs(a - x)))

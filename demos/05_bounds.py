@@ -11,10 +11,8 @@ from hamfourier import (
     noisy_expected_loss_bound,
     basis_state,
     sufficient_parameters,
-    exact_features,
+    feature_vector,
     hoeffding_shots,
-    noisy_features,
-    reference_eigenstate,
     sample_couplings,
     expected_loss_bound,
 )
@@ -46,9 +44,8 @@ hits = 0
 trials = 100
 for trial in range(trials):
     spec = sample_couplings(6, rng)
-    x = exact_features(spec, psi, cfg_exact)
-    x_tilde = noisy_features(spec, psi, reference_eigenstate(spec), cfg_shot,
-                             sample_index=trial)
+    x = feature_vector(spec, psi, cfg_exact)
+    x_tilde = feature_vector(spec, psi, cfg_shot, sample_index=trial)
     hits += np.max(np.abs(x_tilde - x)) <= eta
 print(f"all 2K+1 features within eta in {hits}/{trials} trials "
       f"(guarantee: >= {100 * (1 - delta):.0f}%)")

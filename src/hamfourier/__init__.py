@@ -10,7 +10,6 @@ from .bounds import (
 )
 from .evolution import (
     TrotterSchedule,
-    amplitude,
     amplitudes,
     exact_evolve,
     heisenberg_gate,
@@ -18,18 +17,16 @@ from .evolution import (
 )
 from .features import (
     FeatureMapConfig,
-    OverlapProbabilities,
-    exact_features,
-    exact_overlaps,
+    estimate,
+    feature_vector,
     hadamard_estimate,
-    noisy_features,
-    reconstruct_amplitude,
-    reconstructed_features,
-    sample_overlaps,
+    overlap_frequencies,
+    overlap_reference,
+    overlaps_from_amplitudes,
+    reconstruct_amplitudes,
 )
 from .hamiltonians import (
     CouplingSpec,
-    EigenCache,
     SectorBasis,
     SpectralMeasure,
     apply_hamiltonian,

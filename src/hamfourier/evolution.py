@@ -1,5 +1,9 @@
-"""Time evolution under a coupling spec: exact (dense sector-spectral),
-amplitudes A(t) from the Lanczos measure, and second-order Trotter.
+"""Time evolution under a coupling spec, and the amplitude layer of the
+feature map: amplitudes(spec, ψ, times, schedule) = <ψ|U(t_l)|ψ>, for
+U(t) = e^{-iHt} from one spectral measure of ψ
+(hamiltonians.spectral_measure) or, when a schedule is given, for the
+Strang circuit with schedule[l] steps.  exact_evolve (dense sector eigh)
+is the reference that tests compare both against.
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -19,11 +23,11 @@ import numpy as np
 
 from .hamiltonians import (
     CouplingSpec,
-    EigenCache,
     occupied_magnetizations,
+    sector_eigensystem,
     spectral_measure,
 )
-from .states import StateVector
+from .states import StateVector, inner
 
 
 @dataclass(frozen=True)
@@ -102,36 +106,36 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     return StateVector(n=n, amplitudes=vec)
 
 
-def exact_evolve(spec: CouplingSpec, v: StateVector, t: float,
-                 cache: EigenCache | None = None) -> StateVector:
+def exact_evolve(spec: CouplingSpec, v: StateVector, t: float) -> StateVector:
     """exp(-iHt)·v through the sector eigendecompositions.
 
     Each occupied sector evolves independently; empty sectors (exact zeros)
     are skipped, so superpositions of a few sectors stay cheap.
     """
-    cache = cache if cache is not None else EigenCache()
     n = spec.n
     out = np.zeros(2**n, dtype=complex)
     for k in occupied_magnetizations(n, v.amplitudes):
-        evals, evecs, basis = cache.sector(spec, k)
+        evals, evecs, basis = sector_eigensystem(spec, k)
         coeff = evecs.T @ v.amplitudes[basis.states]
         out[basis.states] = evecs @ (np.exp(-1j * evals * t) * coeff)
     return StateVector(n=n, amplitudes=out)
 
 
-def amplitudes(spec: CouplingSpec, psi: StateVector, times) -> np.ndarray:
-    """A(t) = <psi|exp(-iHt)|psi> = sum_j w_j e^{-i θ_j t} for every t in
-    times, from one spectral measure of psi certified on all of them;
-    |A| <= 1."""
+def amplitudes(spec: CouplingSpec, psi: StateVector, times,
+               schedule: TrotterSchedule | None = None) -> np.ndarray:
+    """A(t_l) = <psi|U(t_l)|psi> for every t_l in times; |A| <= 1.
+
+    Without a schedule, A(t) = sum_j w_j e^{-i θ_j t} from one spectral
+    measure of psi certified on all times; with one, U(t_l) is the Strang
+    circuit with schedule[l] steps.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if schedule is not None:
+        return np.array([inner(psi, trotter_evolve(spec, psi, t, schedule[l]))
+                         for l, t in enumerate(times)])
 
     def phases(nodes):
         return np.exp(-1j * np.outer(times, nodes))
 
     return sum(phases(rec.eigenvalues) @ rec.probabilities
                for rec in spectral_measure(spec, psi, phases))
-
-
-def amplitude(spec: CouplingSpec, psi: StateVector, t: float) -> complex:
-    """A(t) at a single time."""
-    return complex(amplitudes(spec, psi, [t])[0])

@@ -159,10 +159,10 @@ def _sector_pattern(n: int, magnetization: int):
     return SectorBasis(n, magnetization, states), signs, rows, cols, bonds
 
 
-def _check_dim(n: int, magnetization: int, dim_cap: int) -> None:
-    if (dim := math.comb(n, magnetization)) > dim_cap:
+def _check_dim(n: int, magnetization: int) -> None:
+    if (dim := math.comb(n, magnetization)) > SECTOR_DIM_CAP:
         raise ResourceLimitError(f"sector (n={n}, magnetization={magnetization})"
-                                 f" has dimension {dim} > cap {dim_cap}")
+                                 f" has dimension {dim} > cap {SECTOR_DIM_CAP}")
 
 
 def _sector_operator(spec: CouplingSpec, magnetization: int):
@@ -197,33 +197,13 @@ def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
     return mat
 
 
-def sector_eigensystem(spec: CouplingSpec, magnetization: int,
-                       dim_cap: int = SECTOR_DIM_CAP):
+def sector_eigensystem(spec: CouplingSpec, magnetization: int):
     """Eigendecomposition (ascending eigenvalues, orthonormal columns) of the
     sector block, together with its basis."""
-    _check_dim(spec.n, magnetization, dim_cap)
+    _check_dim(spec.n, magnetization)
     basis = sector_states(spec.n, magnetization)
     evals, evecs = np.linalg.eigh(sector_matrix(spec, basis))
     return evals, evecs, basis
-
-
-class EigenCache:
-    """Memo of sector eigensystems, keyed by (spec, magnetization).
-
-    Write-once per key and idempotent, so concurrent readers racing on the
-    same key would simply recompute identical entries.
-    """
-
-    def __init__(self, dim_cap: int = SECTOR_DIM_CAP):
-        self.dim_cap = dim_cap
-        self._store: dict[tuple[CouplingSpec, int], tuple] = {}
-
-    def sector(self, spec: CouplingSpec, magnetization: int):
-        key = (spec, magnetization)
-        if key not in self._store:
-            self._store[key] = sector_eigensystem(spec, magnetization,
-                                                  self.dim_cap)
-        return self._store[key]
 
 
 def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
@@ -232,13 +212,11 @@ def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
     return sorted({int(i).bit_count() for i in np.nonzero(vec)[0]})
 
 
-def spectral_weights(spec: CouplingSpec, v,
-                     cache: EigenCache | None = None) -> list[SpectralMeasure]:
+def spectral_weights(spec: CouplingSpec, v) -> list[SpectralMeasure]:
     """Per-sector dense (eigenvalues, p_l) records for a state; for a
     normalized state the probabilities of all records sum to 1."""
     vec = _state_array(spec, v)
-    cache = cache if cache is not None else EigenCache()
-    return [_dense_record(k, vec, cache.sector(spec, k))
+    return [_dense_record(k, vec, sector_eigensystem(spec, k))
             for k in occupied_magnetizations(spec.n, vec)]
 
 
@@ -262,7 +240,7 @@ def spectral_measure(spec: CouplingSpec, v, integrand) -> list[SpectralMeasure]:
         if math.comb(spec.n, k) < LANCZOS_MIN_DIM:
             records.append(_dense_record(k, vec, sector_eigensystem(spec, k)))
             continue
-        _check_dim(spec.n, k, SECTOR_DIM_CAP)
+        _check_dim(spec.n, k)
         basis, apply = _sector_operator(spec, k)
         d = basis.dim
         comp = vec[basis.states]

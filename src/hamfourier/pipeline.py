@@ -40,8 +40,8 @@ from .regression import (
     fit_ols,
     fit_ridge,
 )
-from .rng import ROLE_COUPLINGS, ROLE_SHOTS, ROLE_SPLIT, ROLE_VALID, substream
-from .states import StateVector, basis_state, domain_wall, reference_eigenstate
+from .rng import ROLE_COUPLINGS, ROLE_SPLIT, ROLE_VALID, substream
+from .states import StateVector, basis_state, domain_wall
 
 SEED_ENV_VAR = "HAMFOURIER_SEED"
 
@@ -217,35 +217,18 @@ def read_dataset(path) -> list[tuple[CouplingSpec, object, float]]:
 
 # --- feature stage -------------------------------------------------------
 
-def compute_features(config: ExperimentConfig, spec: CouplingSpec,
-                     psi: StateVector, sample_index: int) -> np.ndarray:
-    """Backend dispatch for one sample.
-
-    exact without schedule -> spectral features; shots = 0 (any backend,
-    or exact with a schedule) -> noiseless features of the scheduled
-    evolution; shot backends with shots >= 1 -> sampled.
-    """
-    cfg = config.feature_map()
-    if cfg.backend == "exact" and cfg.schedule is None:
-        return ft.exact_features(spec, psi, cfg)
-    ref = reference_eigenstate(spec)
-    if cfg.backend == "exact" or cfg.n_shot == 0:
-        return ft.reconstructed_features(spec, psi, ref, cfg)
-    return ft.noisy_features(spec, psi, ref, cfg, sample_index)
-
-
 def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
     """Write the feature CSV (header x0..x{2K}) and its provenance sidecar."""
     out_path = Path(out_path)
+    cfg = config.feature_map()
     rows = read_dataset(dataset_path)
     header = ",".join(f"x{j}" for j in range(2 * config.k + 1))
     lines = [header]
     for i, (spec, descriptor, _) in enumerate(rows):
         psi = state_from_descriptor(spec.n, descriptor)
-        x = compute_features(config, spec, psi, i)
+        x = ft.feature_vector(spec, psi, cfg, i)
         lines.append(",".join(format_float(v) for v in x))
     atomic_write(out_path, "".join(line + "\n" for line in lines))
-    cfg = config.feature_map()
     provenance = {
         "K": cfg.K, "C": cfg.C, "backend": cfg.backend, "n_shot": cfg.n_shot,
         "schedule": cfg.schedule.render() if cfg.schedule else None,
@@ -342,24 +325,24 @@ def cmd_scatter(exact_path, noisy_path, out_path) -> Path:
 
 def overlap_scatter(config: ExperimentConfig, dataset_path, out_path) -> Path:
     """Exact vs shot-estimated overlap probabilities for every sample, time
-    index, and circuit (the four w's); rows at t = 0 show the degenerate
-    peaks w_+ = 1 and w_±i = 1/2."""
+    index, and circuit (the four w's) of the overlap-shots readout, with
+    the draws and the Trotter schedule of the matching feature rows; rows
+    at t = 0 show the degenerate peaks w_+ = 1 and w_±i = 1/2."""
     if config.shots < 1:
         raise ValueError("overlap scatter needs shots >= 1")
     rows = read_dataset(dataset_path)
-    cfg = config.feature_map()
+    cfg = replace(config, backend="overlap-shots").feature_map()
     lines, times = ["sample,l,circuit,exact,estimated"], cfg.times()
     for i, (spec, descriptor, _) in enumerate(rows):
         psi = state_from_descriptor(spec.n, descriptor)
-        ref = reference_eigenstate(spec)
-        ft.check_orthogonal(psi, ref)
-        for l, (a, t) in enumerate(zip(amplitudes(spec, psi, times), times)):
-            w = ft.overlaps_from_amplitude(a, ref.eigenvalue, t)
-            est = ft.sample_overlaps(w, config.shots,
-                                     substream(config.seed, ROLE_SHOTS, i, l))
-            for name, exact in w.as_dict().items():
-                lines.append(f"{i},{l},{name},{format_float(exact)},"
-                             f"{format_float(getattr(est, name))}")
+        lambda_ref = ft.overlap_reference(spec, psi)
+        w = ft.overlaps_from_amplitudes(
+            amplitudes(spec, psi, times, cfg.schedule), lambda_ref, times)
+        est = ft.overlap_frequencies(w, cfg.n_shot, cfg.seed, i)
+        for l in range(len(times)):
+            for circuit, name in enumerate(ft.OVERLAP_NAMES):
+                lines.append(f"{i},{l},{name},{format_float(w[l, circuit])},"
+                             f"{format_float(est[l, circuit])}")
     atomic_write(out_path, "".join(line + "\n" for line in lines))
     return Path(out_path)
 

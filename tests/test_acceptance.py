@@ -12,20 +12,20 @@ import numpy as np
 import pytest
 
 from hamfourier.bounds import BoundInputs, hoeffding_shots, expected_loss_bound
-from hamfourier.evolution import amplitude, exact_evolve, trotter_evolve
+from hamfourier.evolution import amplitudes, exact_evolve, trotter_evolve
 from hamfourier.features import (
     FeatureMapConfig,
-    exact_features,
-    exact_overlaps,
-    noisy_features,
-    reconstruct_amplitude,
+    feature_vector,
+    overlap_reference,
+    overlaps_from_amplitudes,
+    reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import apply_hamiltonian, sample_couplings
 from hamfourier.labels import fourier_series, label
 from hamfourier.pipeline import cmd_reproduce
 from hamfourier.regression import DesignMatrix, fit_constrained
 from hamfourier.rng import substream
-from hamfourier.states import basis_state, domain_wall, reference_eigenstate
+from hamfourier.states import basis_state, domain_wall
 
 from conftest import random_sector_state, random_spec
 
@@ -75,10 +75,12 @@ def test_criterion_4_overlap_identity():
         n = int(rng.integers(2, 9))
         spec = random_spec(n, rng)
         psi = random_sector_state(n, int(rng.integers(1, n + 1)), rng)
-        ref = reference_eigenstate(spec)
-        t = float(rng.uniform(0, np.pi))
-        rec = reconstruct_amplitude(exact_overlaps(spec, psi, ref, t))
-        worst = max(worst, abs(rec - amplitude(spec, psi, t)))
+        lambda_ref = overlap_reference(spec, psi)
+        t = np.array([rng.uniform(0, np.pi)])
+        amps = amplitudes(spec, psi, t)
+        rec = reconstruct_amplitudes(
+            overlaps_from_amplitudes(amps, lambda_ref, t), lambda_ref, t)
+        worst = max(worst, abs(rec[0] - amps[0]))
     ok = worst <= 1e-10
     report(4, ok, f"overlap reconstruction identity: worst |error| = "
                   f"{worst:.2e} over 100 random instances (<=1e-10)")
@@ -99,10 +101,8 @@ def test_criterion_5_hoeffding_shot_count():
     trials = 500
     for trial in range(trials):
         spec = sample_couplings(6, substream(master, 1, trial))
-        x = exact_features(spec, psi, cfg_exact)
-        ref = reference_eigenstate(spec)
-        x_tilde = noisy_features(spec, psi, ref, cfg_shot,
-                                 sample_index=trial)
+        x = feature_vector(spec, psi, cfg_exact)
+        x_tilde = feature_vector(spec, psi, cfg_shot, sample_index=trial)
         if np.max(np.abs(x_tilde - x)) <= eta:
             hits += 1
     ok = hits >= 0.93 * trials
@@ -128,7 +128,7 @@ def test_criterion_6_expected_loss_bound():
         xs, ys = [], []
         for i in range(n_data + n_eval):
             spec = sample_couplings(6, substream(master, 1, e, i))
-            xs.append(exact_features(spec, psi, cfg))
+            xs.append(feature_vector(spec, psi, cfg))
             ys.append(label(spec, psi, fspec))
         xs, ys = np.array(xs), np.array(ys)
         model = fit_constrained(DesignMatrix(X=xs[:n_data], y=ys[:n_data]),
@@ -172,7 +172,7 @@ def test_criterion_8_exact_expressibility():
     xs, ys = [], []
     for _ in range(60):
         spec = random_spec(6, rng)
-        xs.append(exact_features(spec, psi, cfg))
+        xs.append(feature_vector(spec, psi, cfg))
         ys.append(label(spec, psi, fspec))
     data = DesignMatrix(X=np.array(xs), y=np.array(ys))
     model = fit_constrained(data, w_budget)
@@ -205,18 +205,16 @@ def test_criterion_10_invariant_suite():
         kind = case % 5
         if kind == 0:
             psi = random_sector_state(n, int(rng.integers(0, n + 1)), rng)
-            x = exact_features(spec, psi, cfg)
+            x = feature_vector(spec, psi, cfg)
             if np.any(np.abs(x) > 1 + 1e-10) or abs(x[0] - 1) > 1e-10:
                 violations += 1
         elif kind == 1:
             psi = random_sector_state(n, int(rng.integers(1, n + 1)), rng)
-            w = exact_overlaps(spec, psi, reference_eigenstate(spec),
-                               float(rng.uniform(0, np.pi)))
-            vals = [w.w_plus, w.w_minus, w.w_plus_i, w.w_minus_i]
-            sum_gap = abs((w.w_plus + w.w_minus)
-                          - (w.w_plus_i + w.w_minus_i))
-            if sum_gap > 1e-10 or any(v < -1e-12 or v > 1 + 1e-12
-                                      for v in vals):
+            t = np.array([rng.uniform(0, np.pi)])
+            (w,) = overlaps_from_amplitudes(amplitudes(spec, psi, t),
+                                            overlap_reference(spec, psi), t)
+            sum_gap = abs((w[0] + w[1]) - (w[2] + w[3]))
+            if sum_gap > 1e-10 or np.any((w < -1e-12) | (w > 1 + 1e-12)):
                 violations += 1
         elif kind == 2:
             psi = random_sector_state(n, int(rng.integers(0, n + 1)), rng)
@@ -240,7 +238,7 @@ def test_criterion_10_invariant_suite():
             violations += bad
         else:
             psi = random_sector_state(n, int(rng.integers(0, n + 1)), rng)
-            gram_rows.append(exact_features(spec, psi, cfg))
+            gram_rows.append(feature_vector(spec, psi, cfg))
             if len(gram_rows) == 10:
                 x = np.array(gram_rows)
                 if np.sum(x**2) > (2 * cfg.K + 1) * len(x) + 1e-9:

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from hamfourier.evolution import (
     TrotterSchedule,
-    amplitude,
+    amplitudes,
     exact_evolve,
     heisenberg_gate,
     trotter_evolve,
@@ -177,29 +177,39 @@ class TestAmplitude:
     def test_t_zero_is_one(self, rng):
         spec = random_spec(5, rng)
         psi = random_sector_state(5, 2, rng)
-        assert amplitude(spec, psi, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert amplitudes(spec, psi, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_n2_closed_form(self):
         spec = CouplingSpec(n=2, couplings=(1.0,))
         psi = basis_state(2, "01")
-        for t in (0.4, np.pi / 3, 2.0):
-            expected = (np.exp(-1j * t) + np.exp(3j * t)) / 2
-            assert amplitude(spec, psi, t) == pytest.approx(expected, abs=1e-12)
+        times = np.array([0.4, np.pi / 3, 2.0])
+        expected = (np.exp(-1j * times) + np.exp(3j * times)) / 2
+        assert np.max(np.abs(amplitudes(spec, psi, times) - expected)) <= 1e-12
 
     def test_modulus_bounded(self, rng):
         spec = random_spec(5, rng)
         psi = random_sector_state(5, 3, rng)
-        for t in np.linspace(0, 12, 25):
-            assert abs(amplitude(spec, psi, t)) <= 1.0 + 1e-10
+        assert np.all(np.abs(amplitudes(spec, psi, np.linspace(0, 12, 25)))
+                      <= 1.0 + 1e-10)
 
     def test_agrees_with_evolution_inner_product(self, rng):
         for n in (2, 4, 5):
             spec = random_spec(n, rng)
             psi = random_dense_state(n, rng)
-            for t in (0.7, 3.1):
+            times = (0.7, 3.1)
+            for t, a in zip(times, amplitudes(spec, psi, times)):
                 via_evolve = inner(psi, exact_evolve(spec, psi, t))
-                assert amplitude(spec, psi, t) == pytest.approx(via_evolve,
-                                                                abs=1e-10)
+                assert a == pytest.approx(via_evolve, abs=1e-10)
+
+    def test_schedule_runs_the_strang_circuit(self, rng):
+        spec = random_spec(4, rng)
+        psi = random_sector_state(4, 2, rng)
+        times = np.array([0.0, 0.9, 2.5])
+        schedule = TrotterSchedule.parse("1,2,3")
+        expected = [inner(psi, trotter_evolve(spec, psi, t, s))
+                    for t, s in zip(times, schedule.steps)]
+        np.testing.assert_array_equal(amplitudes(spec, psi, times, schedule),
+                                      expected)
 
 
 class TestTrotterSchedule:

@@ -1,19 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hamfourier.evolution import TrotterSchedule, amplitude, exact_evolve
+from hamfourier.evolution import TrotterSchedule, amplitudes, exact_evolve
 from hamfourier.features import (
+    OVERLAP_NAMES,
     ConfigError,
     FeatureMapConfig,
-    OverlapProbabilities,
-    exact_features,
-    exact_overlaps,
+    feature_vector,
     hadamard_estimate,
-    noisy_features,
-    overlaps_from_amplitude,
-    reconstruct_amplitude,
-    reconstructed_features,
-    sample_overlaps,
+    overlap_frequencies,
+    overlap_reference,
+    overlaps_from_amplitudes,
+    reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import CouplingSpec
 from hamfourier.states import (
@@ -25,6 +25,13 @@ from hamfourier.states import (
 )
 
 from conftest import dense_hamiltonian, random_sector_state, random_spec
+
+
+def overlaps_at(spec, psi, times):
+    """The four exact w's (columns in OVERLAP_NAMES order) at every time."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return overlaps_from_amplitudes(amplitudes(spec, psi, times),
+                                    overlap_reference(spec, psi), times)
 
 
 def quadrature_oracle(spec, psi, k_order, c_bound):
@@ -65,14 +72,14 @@ class TestFeatureMapConfig:
 class TestExactFeatures:
     def test_vector_length_and_x0(self, rng):
         spec = random_spec(4, rng)
-        x = exact_features(spec, domain_wall(4), FeatureMapConfig(K=11, C=3.0))
+        x = feature_vector(spec, domain_wall(4), FeatureMapConfig(K=11, C=3.0))
         assert x.shape == (23,)
         assert x[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_n2_first_harmonic(self):
         # A(pi/3) = (e^{-i pi/3} + e^{i pi})/2 -> cos part -1/4, sin part -sqrt(3)/4
         spec = CouplingSpec(n=2, couplings=(1.0,))
-        x = exact_features(spec, basis_state(2, "01"), FeatureMapConfig(K=1, C=3.0))
+        x = feature_vector(spec, basis_state(2, "01"), FeatureMapConfig(K=1, C=3.0))
         assert x[2] == pytest.approx(-0.25, abs=1e-10)
         assert x[1] == pytest.approx(-np.sqrt(3) / 4, abs=1e-10)
 
@@ -81,7 +88,7 @@ class TestExactFeatures:
             spec = random_spec(n, rng)
             psi = random_sector_state(n, 1, rng)
             cfg = FeatureMapConfig(K=2, C=3.0)
-            np.testing.assert_allclose(exact_features(spec, psi, cfg),
+            np.testing.assert_allclose(feature_vector(spec, psi, cfg),
                                        quadrature_oracle(spec, psi, 2, 3.0),
                                        atol=1e-10)
 
@@ -89,50 +96,39 @@ class TestExactFeatures:
         for _ in range(5):
             spec = random_spec(5, rng)
             psi = random_sector_state(5, 2, rng)
-            x = exact_features(spec, psi, FeatureMapConfig(K=6, C=3.0))
+            x = feature_vector(spec, psi, FeatureMapConfig(K=6, C=3.0))
             assert np.all(np.abs(x) <= 1.0 + 1e-10)
 
     def test_rejects_small_spectral_window(self, rng):
         spec = random_spec(4, rng)  # spectral bound 3
         with pytest.raises(ConfigError):
-            exact_features(spec, domain_wall(4), FeatureMapConfig(K=2, C=2.0))
-
-    def test_rejects_shot_backend(self, rng):
-        spec = random_spec(4, rng)
-        cfg = FeatureMapConfig(K=2, C=3.0, backend="overlap-shots", n_shot=10)
-        with pytest.raises(ConfigError):
-            exact_features(spec, domain_wall(4), cfg)
+            feature_vector(spec, domain_wall(4), FeatureMapConfig(K=2, C=2.0))
 
 
 class TestExactOverlaps:
     def test_t_zero_peaks(self, rng):
         spec = random_spec(4, rng)
-        ref = reference_eigenstate(spec)
-        w = exact_overlaps(spec, domain_wall(4), ref, 0.0)
-        assert w.w_plus == pytest.approx(1.0, abs=1e-12)
-        assert w.w_minus == pytest.approx(0.0, abs=1e-12)
-        assert w.w_plus_i == pytest.approx(0.5, abs=1e-12)
-        assert w.w_minus_i == pytest.approx(0.5, abs=1e-12)
+        (w,) = overlaps_at(spec, domain_wall(4), 0.0)
+        assert w[0] == pytest.approx(1.0, abs=1e-12)
+        assert w[1] == pytest.approx(0.0, abs=1e-12)
+        assert w[2] == pytest.approx(0.5, abs=1e-12)
+        assert w[3] == pytest.approx(0.5, abs=1e-12)
 
     def test_values_in_unit_interval(self, rng):
         spec = random_spec(5, rng)
         psi = random_sector_state(5, 2, rng)
-        ref = reference_eigenstate(spec)
-        for t in np.linspace(0, np.pi, 17):
-            w = exact_overlaps(spec, psi, ref, t)
-            for val in (w.w_plus, w.w_minus, w.w_plus_i, w.w_minus_i):
-                assert -1e-12 <= val <= 1.0 + 1e-12
+        w = overlaps_at(spec, psi, np.linspace(0, np.pi, 17))
+        assert w.shape == (17, 4)
+        assert np.all((-1e-12 <= w) & (w <= 1.0 + 1e-12))
 
     def test_sum_rule(self, rng):
         spec = random_spec(5, rng)
         psi = random_sector_state(5, 3, rng)
-        ref = reference_eigenstate(spec)
-        for t in (0.3, 1.7, 3.0):
-            w = exact_overlaps(spec, psi, ref, t)
-            mod2 = abs(amplitude(spec, psi, t)) ** 2
-            assert w.w_plus + w.w_minus == pytest.approx((1 + mod2) / 2, abs=1e-10)
-            assert w.w_plus_i + w.w_minus_i == pytest.approx((1 + mod2) / 2,
-                                                             abs=1e-10)
+        times = np.array([0.3, 1.7, 3.0])
+        w = overlaps_at(spec, psi, times)
+        half = (1 + np.abs(amplitudes(spec, psi, times)) ** 2) / 2
+        assert np.all(np.abs(w[:, 0] + w[:, 1] - half) <= 1e-10)
+        assert np.all(np.abs(w[:, 2] + w[:, 3] - half) <= 1e-10)
 
     def test_matches_explicit_superposition_evolution(self, rng):
         # oracle: evolve psi_+ as a statevector and project on the four
@@ -146,101 +142,83 @@ class TestExactOverlaps:
             plus = superpose(ref_state, psi, 1)
             t = float(rng.uniform(0, np.pi))
             evolved = exact_evolve(spec, plus, t)
-            w = exact_overlaps(spec, psi, ref, t)
-            targets = {
-                "w_plus": plus,
-                "w_minus": superpose(ref_state, psi, -1),
-                "w_plus_i": superpose(ref_state, psi, 1j),
-                "w_minus_i": superpose(ref_state, psi, -1j),
-            }
-            for name, target in targets.items():
+            (w,) = overlaps_at(spec, psi, t)
+            targets = [superpose(ref_state, psi, phase)
+                       for phase in (1, -1, 1j, -1j)]  # OVERLAP_NAMES order
+            for name, target, value in zip(OVERLAP_NAMES, targets, w):
                 oracle = abs(inner(target, evolved)) ** 2
-                assert getattr(w, name) == pytest.approx(oracle, abs=1e-10)
+                assert value == pytest.approx(oracle, abs=1e-10), name
 
     def test_orthogonality_enforced(self, rng):
         spec = random_spec(3, rng)
-        ref = reference_eigenstate(spec)
         with pytest.raises(ValueError):
-            exact_overlaps(spec, basis_state(3, "000"), ref, 1.0)
+            overlap_reference(spec, basis_state(3, "000"))
 
 
 class TestReconstructAmplitude:
     def test_t_zero(self):
-        w = OverlapProbabilities(w_plus=1.0, w_minus=0.0, w_plus_i=0.5,
-                                 w_minus_i=0.5, t=0.0, lambda_ref=0.37)
-        assert reconstruct_amplitude(w) == pytest.approx(1.0 + 0j, abs=1e-15)
+        w = np.array([[1.0, 0.0, 0.5, 0.5]])
+        assert reconstruct_amplitudes(w, 0.37, [0.0])[0] == pytest.approx(
+            1.0 + 0j, abs=1e-15)
 
     def test_identity_over_random_instances(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 9))
             spec = random_spec(n, rng)
             psi = random_sector_state(n, int(rng.integers(1, n + 1)), rng)
-            ref = reference_eigenstate(spec)
             t = float(rng.uniform(0, np.pi))
-            rec = reconstruct_amplitude(exact_overlaps(spec, psi, ref, t))
-            assert abs(rec - amplitude(spec, psi, t)) <= 1e-10
+            rec = reconstruct_amplitudes(overlaps_at(spec, psi, t),
+                                         overlap_reference(spec, psi), [t])
+            assert abs(rec[0] - amplitudes(spec, psi, t)[0]) <= 1e-10
 
     def test_perturbation_bound(self, rng):
         # worst-case |delta| over the corner grid of per-coordinate shifts
         # is 2*sqrt(2)*eta (each quadrature moves by at most 2 eta)
         spec = random_spec(4, rng)
-        ref = reference_eigenstate(spec)
-        w = exact_overlaps(spec, domain_wall(4), ref, 1.2)
-        base = reconstruct_amplitude(w)
+        lambda_ref = overlap_reference(spec, domain_wall(4))
+        w = overlaps_at(spec, domain_wall(4), 1.2)
+        base = reconstruct_amplitudes(w, lambda_ref, [1.2])[0]
         eta = 0.05
-        worst = 0.0
-        for dp in (-eta, 0, eta):
-            for dm in (-eta, 0, eta):
-                for dpi in (-eta, 0, eta):
-                    for dmi in (-eta, 0, eta):
-                        shifted = OverlapProbabilities(
-                            w_plus=w.w_plus + dp, w_minus=w.w_minus + dm,
-                            w_plus_i=w.w_plus_i + dpi,
-                            w_minus_i=w.w_minus_i + dmi,
-                            t=w.t, lambda_ref=w.lambda_ref)
-                        worst = max(worst,
-                                    abs(reconstruct_amplitude(shifted) - base))
+        shifts = np.array(list(itertools.product((-eta, 0, eta), repeat=4)))
+        shifted = reconstruct_amplitudes(w + shifts, lambda_ref,
+                                         np.full(len(shifts), 1.2))
+        worst = float(np.max(np.abs(shifted - base)))
         assert worst <= 2 * np.sqrt(2) * eta + 1e-12
         assert worst == pytest.approx(2 * np.sqrt(2) * eta, rel=1e-9)
 
 
 class TestSampleOverlaps:
-    def test_degenerate_probability_stays_exact(self, rng):
-        w = OverlapProbabilities(w_plus=1.0, w_minus=0.0, w_plus_i=0.5,
-                                 w_minus_i=0.5, t=0.0, lambda_ref=0.0)
-        for n_shot in (1, 10, 1000):
-            est = sample_overlaps(w, n_shot, rng)
-            assert est.w_plus == 1.0
-            assert est.w_minus == 0.0
+    # rows of w are time indices l, each circuit (l, c) with its own
+    # substream, so a tall w gives one independent draw per row
+    SEED = 20260811
 
-    def test_unbiased(self, rng):
-        w = OverlapProbabilities(w_plus=0.3, w_minus=0.45, w_plus_i=0.8,
-                                 w_minus_i=0.05, t=1.0, lambda_ref=0.2)
-        reps, n_shot = 10_000, 64
-        sums = np.zeros(4)
-        for _ in range(reps):
-            est = sample_overlaps(w, n_shot, rng)
-            sums += [est.w_plus, est.w_minus, est.w_plus_i, est.w_minus_i]
-        means = sums / reps
+    def test_degenerate_probability_stays_exact(self):
+        w = np.array([[1.0, 0.0, 0.5, 0.5]])
+        for n_shot in (1, 10, 1000):
+            est = overlap_frequencies(w, n_shot, self.SEED, n_shot)
+            assert est[0, 0] == 1.0
+            assert est[0, 1] == 0.0
+
+    def test_unbiased(self):
         exact = np.array([0.3, 0.45, 0.8, 0.05])
+        reps, n_shot = 10_000, 64
+        est = overlap_frequencies(np.tile(exact, (reps, 1)), n_shot, self.SEED, 0)
+        means = est.mean(axis=0)
         stderr = np.sqrt(exact * (1 - exact) / n_shot / reps)
         assert np.all(np.abs(means - exact) <= 3 * stderr)
 
-    def test_hoeffding_coverage(self, rng):
+    def test_hoeffding_coverage(self):
         # failure rate of |w_hat - w| > eta stays below 2 exp(-2 N eta^2)
-        w = OverlapProbabilities(w_plus=0.3, w_minus=0.3, w_plus_i=0.3,
-                                 w_minus_i=0.3, t=0.5, lambda_ref=0.0)
         n_shot, eta, trials = 200, 0.1, 4000
         bound = 2 * np.exp(-2 * n_shot * eta**2)  # 0.0366
-        fails = sum(abs(sample_overlaps(w, n_shot, rng).w_plus - 0.3) > eta
-                    for _ in range(trials))
+        est = overlap_frequencies(np.full((trials, 4), 0.3), n_shot, self.SEED, 0)
+        fails = int(np.sum(np.abs(est[:, 0] - 0.3) > eta))
         rate = fails / trials
         assert rate <= bound + 3 * np.sqrt(bound / trials)
 
-    def test_requires_shots(self, rng):
-        w = OverlapProbabilities(1.0, 0.0, 0.5, 0.5, 0.0, 0.0)
+    def test_requires_shots(self):
         with pytest.raises(ValueError):
-            sample_overlaps(w, 0, rng)
+            overlap_frequencies(np.array([[1.0, 0.0, 0.5, 0.5]]), 0, self.SEED, 0)
 
 
 class TestHadamardEstimate:
@@ -274,20 +252,20 @@ class TestHadamardEstimate:
 
 class TestNoisyFeatures:
     def test_zero_noise_limit_equals_exact(self, rng):
+        # with n_shot = 0 the noise layer returns A unchanged
         spec = random_spec(4, rng)
         psi = domain_wall(4)
-        ref = reference_eigenstate(spec)
-        cfg = FeatureMapConfig(K=4, C=3.0, backend="overlap-shots", n_shot=0)
-        rec = reconstructed_features(spec, psi, ref, cfg)
-        exact = exact_features(spec, psi, FeatureMapConfig(K=4, C=3.0))
-        np.testing.assert_allclose(rec, exact, atol=1e-10)
+        exact = feature_vector(spec, psi, FeatureMapConfig(K=4, C=3.0))
+        for backend in ("overlap-shots", "hadamard-shots"):
+            cfg = FeatureMapConfig(K=4, C=3.0, backend=backend, n_shot=0)
+            np.testing.assert_array_equal(feature_vector(spec, psi, cfg), exact)
 
     def test_paper_protocol_shape(self, rng):
         spec = random_spec(12, rng)
         cfg = FeatureMapConfig(
             K=11, C=3.0, backend="overlap-shots", n_shot=256,
             schedule=TrotterSchedule.parse("1,1,1,1,1,2,2,2,2,3,3,3"), seed=5)
-        x = noisy_features(spec, domain_wall(12), reference_eigenstate(spec), cfg)
+        x = feature_vector(spec, domain_wall(12), cfg)
         assert x.shape == (23,)
         assert np.all(np.isfinite(x))
         # overlap backend can overshoot [-1, 1] but never sqrt(2)
@@ -296,32 +274,29 @@ class TestNoisyFeatures:
     def test_deterministic_given_seed(self, rng):
         spec = random_spec(4, rng)
         psi = domain_wall(4)
-        ref = reference_eigenstate(spec)
         for backend in ("overlap-shots", "hadamard-shots"):
             cfg = FeatureMapConfig(K=3, C=3.0, backend=backend, n_shot=100,
                                    seed=123)
-            a = noisy_features(spec, psi, ref, cfg, sample_index=4)
-            b = noisy_features(spec, psi, ref, cfg, sample_index=4)
+            a = feature_vector(spec, psi, cfg, sample_index=4)
+            b = feature_vector(spec, psi, cfg, sample_index=4)
             np.testing.assert_array_equal(a, b)
 
     def test_distinct_samples_get_distinct_streams(self, rng):
         spec = random_spec(4, rng)
         psi = domain_wall(4)
-        ref = reference_eigenstate(spec)
         cfg = FeatureMapConfig(K=3, C=3.0, backend="overlap-shots", n_shot=40,
                                seed=9)
-        a = noisy_features(spec, psi, ref, cfg, sample_index=0)
-        b = noisy_features(spec, psi, ref, cfg, sample_index=1)
+        a = feature_vector(spec, psi, cfg, sample_index=0)
+        b = feature_vector(spec, psi, cfg, sample_index=1)
         assert not np.array_equal(a, b)
 
     def test_hadamard_estimates_near_exact_at_large_shots(self, rng):
         spec = random_spec(4, rng)
         psi = domain_wall(4)
-        ref = reference_eigenstate(spec)
         cfg = FeatureMapConfig(K=3, C=3.0, backend="hadamard-shots",
                                n_shot=200_000, seed=17)
-        x = noisy_features(spec, psi, ref, cfg)
-        exact = exact_features(spec, psi, FeatureMapConfig(K=3, C=3.0))
+        x = feature_vector(spec, psi, cfg)
+        exact = feature_vector(spec, psi, FeatureMapConfig(K=3, C=3.0))
         assert np.max(np.abs(x - exact)) <= 0.02
 
     def test_x0_is_computed_and_lands_on_one(self, rng):
@@ -329,20 +304,14 @@ class TestNoisyFeatures:
         spec = random_spec(4, rng)
         cfg = FeatureMapConfig(K=2, C=3.0, backend="overlap-shots", n_shot=7,
                                seed=3)
-        x = noisy_features(spec, domain_wall(4), reference_eigenstate(spec), cfg)
+        x = feature_vector(spec, domain_wall(4), cfg)
         assert x[0] == 1.0
 
-    def test_requires_shot_backend(self, rng):
-        spec = random_spec(4, rng)
-        cfg = FeatureMapConfig(K=2, C=3.0, backend="exact")
-        with pytest.raises(ConfigError):
-            noisy_features(spec, domain_wall(4), reference_eigenstate(spec), cfg)
-
-    def test_requires_positive_shots(self, rng):
-        spec = random_spec(4, rng)
-        cfg = FeatureMapConfig(K=2, C=3.0, backend="overlap-shots", n_shot=0)
-        with pytest.raises(ConfigError):
-            noisy_features(spec, domain_wall(4), reference_eigenstate(spec), cfg)
+    def test_requires_shot_backend(self):
+        # the exact backend has no readout to sample: shots are refused,
+        # not silently ignored
+        with pytest.raises(ConfigError, match="exact"):
+            FeatureMapConfig(K=2, C=3.0, backend="exact", n_shot=10)
 
     def test_hadamard_coverage_at_prescribed_budget(self, rng):
         # N_shot = hoeffding_shots(0.05, 0.05, 11) = 5460 keeps all 23
@@ -358,10 +327,10 @@ class TestNoisyFeatures:
         seeds = 100
         for seed in range(seeds):
             spec = random_spec(6, rng)
-            x = exact_features(spec, psi, cfg_exact)
+            x = feature_vector(spec, psi, cfg_exact)
             cfg = FeatureMapConfig(K=k_order, C=3.0, backend="hadamard-shots",
                                    n_shot=n_shot, seed=seed)
-            x_tilde = noisy_features(spec, psi, reference_eigenstate(spec), cfg)
+            x_tilde = feature_vector(spec, psi, cfg)
             hits += np.max(np.abs(x_tilde - x)) <= eta
         assert hits >= 0.95 * seeds
 
@@ -373,5 +342,7 @@ class TestOverlapsFromAmplitude:
             if abs(a) > 1:
                 a /= abs(a) * 1.01
             lam, t = rng.uniform(-3, 3), rng.uniform(0, np.pi)
-            w = overlaps_from_amplitude(a, lam, t)
-            assert reconstruct_amplitude(w) == pytest.approx(a, abs=1e-12)
+            w = overlaps_from_amplitudes(np.array([a]), lam, [t])
+            assert w.shape == (1, 4)
+            assert reconstruct_amplitudes(w, lam, [t])[0] == pytest.approx(
+                a, abs=1e-12)

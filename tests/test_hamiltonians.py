@@ -8,7 +8,6 @@ from hamfourier.hamiltonians import (
     SECTOR_DIM_CAP,
     CouplingSpec,
     DimensionError,
-    EigenCache,
     ResourceLimitError,
     apply_hamiltonian,
     coupling_from_record,
@@ -238,13 +237,6 @@ class TestSpectralWeights:
         records = spectral_weights(spec, psi)
         total = sum(np.sum(r.probabilities) for r in records)
         assert abs(total - 1.0) <= 1e-10
-
-    def test_cache_reused(self, rng):
-        spec = random_spec(4, rng)
-        cache = EigenCache()
-        first = cache.sector(spec, 2)
-        second = cache.sector(spec, 2)
-        assert first is second
 
 
 class TestRecordInterchange:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamfourier.features import FeatureMapConfig, exact_features
+from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.labels import (
     DomainError,
     FunctionSpec,
@@ -114,7 +114,7 @@ class TestLabel:
         # sine feature (shared sign convention)
         spec = random_spec(4, rng)
         psi = random_sector_state(4, 2, rng)
-        x = exact_features(spec, psi, FeatureMapConfig(K=3, C=3.0))
+        x = feature_vector(spec, psi, FeatureMapConfig(K=3, C=3.0))
         for l in (1, 2, 3):
             t_l = l * np.pi / 3.0
             assert label(spec, psi, cosine(t_l, 3.0)) == pytest.approx(
@@ -139,5 +139,5 @@ class TestLabel:
             spec = random_spec(4, rng)
             psi = random_sector_state(4, 2, rng)
             y = label(spec, psi, fspec)
-            x = exact_features(spec, psi, cfg)
+            x = feature_vector(spec, psi, cfg)
             assert abs(y - coeffs @ x) <= 1e-10

@@ -20,7 +20,6 @@ from hamfourier.pipeline import (
     cmd_reproduce,
     cmd_scatter,
     cmd_train_eval,
-    compute_features,
     format_float,
     json_17g,
     overlap_scatter,
@@ -159,12 +158,13 @@ class TestFeatureStage:
     def test_sample_order_independent(self, small_dataset):
         # substreams are keyed by sample index, not evaluation order
         from dataclasses import replace
-        config = replace(SMALL, backend="hadamard-shots", shots=32)
+        from hamfourier.features import feature_vector
+        cfg = replace(SMALL, backend="hadamard-shots", shots=32).feature_map()
         rows = read_dataset(small_dataset)
         psi = state_from_descriptor(4, "domain_wall")
-        forward = [compute_features(config, spec, psi, i)
+        forward = [feature_vector(spec, psi, cfg, i)
                    for i, (spec, _, _) in enumerate(rows)]
-        backward = [compute_features(config, rows[i][0], psi, i)
+        backward = [feature_vector(rows[i][0], psi, cfg, i)
                     for i in reversed(range(len(rows)))][::-1]
         for a, b in zip(forward, backward):
             np.testing.assert_array_equal(a, b)
@@ -172,20 +172,39 @@ class TestFeatureStage:
     def test_noiseless_hadamard_needs_no_orthogonality(self, rng):
         # |0000> is not orthogonal to the overlap reference |0...0>, which
         # only the overlap route needs; the noiseless Hadamard test reads A
-        from hamfourier.features import FeatureMapConfig, exact_features
+        from hamfourier.features import FeatureMapConfig, feature_vector
         from hamfourier.hamiltonians import sample_couplings
         from hamfourier.states import basis_state
         spec = sample_couplings(4, rng)
         psi = basis_state(4, "0000")
         config = ExperimentConfig(n=4, k=2, backend="hadamard-shots", shots=0)
-        x = compute_features(config, spec, psi, 0)
+        x = feature_vector(spec, psi, config.feature_map())
         np.testing.assert_allclose(
-            x, exact_features(spec, psi, FeatureMapConfig(K=2, C=3.0)),
+            x, feature_vector(spec, psi, FeatureMapConfig(K=2, C=3.0)),
             atol=1e-12)
-        assert compute_features(replace(config, shots=10), spec, psi, 0).shape == (5,)
+        shots = replace(config, shots=10).feature_map()
+        assert feature_vector(spec, psi, shots).shape == (5,)
         with pytest.raises(ValueError, match="orthogonal"):
-            compute_features(replace(config, backend="overlap-shots"),
-                             spec, psi, 0)
+            feature_vector(spec, psi,
+                           replace(config, backend="overlap-shots").feature_map())
+
+    def test_exact_backend_with_schedule_is_trotterized(self, tmp_path):
+        # the exact backend has no overlap readout, so a state on |0...0>
+        # is fine and a schedule gives the Strang-circuit amplitudes
+        from hamfourier.evolution import trotter_evolve
+        from hamfourier.states import basis_state
+        config = ExperimentConfig(n=4, num=3, k=2, backend="exact",
+                                  schedule="1,1,1", state="0000")
+        cmd_generate(config, tmp_path / "d.jsonl")
+        cmd_features(config, tmp_path / "d.jsonl", tmp_path / "f.csv")
+        psi = basis_state(4, "0000")
+        for (spec, _, _), x in zip(read_dataset(tmp_path / "d.jsonl"),
+                                   read_features(tmp_path / "f.csv")):
+            a = [np.vdot(psi.amplitudes,
+                         trotter_evolve(spec, psi, t, 1).amplitudes)
+                 for t in config.feature_map().times()]
+            np.testing.assert_allclose(x, [a[0].real, a[1].imag, a[1].real,
+                                           a[2].imag, a[2].real], atol=1e-15)
 
 
 class TestSplit:
@@ -342,6 +361,33 @@ class TestScatter:
             rms[shots] = np.sqrt(np.mean(dev**2))
         ratio = rms[100] / rms[10_000]
         assert 8.0 <= ratio <= 12.5
+
+    def test_overlap_scatter_recombines_to_feature_rows(self, tmp_path,
+                                                        small_dataset):
+        # the scatter plots the very draws and schedule behind the features
+        from dataclasses import replace
+        from hamfourier.features import reconstruct_amplitudes
+        from hamfourier.states import reference_eigenstate
+        config = replace(SMALL, backend="overlap-shots", shots=50,
+                         schedule="1,2,2,3")
+        cmd_features(config, small_dataset, tmp_path / "f.csv")
+        cmd_features(replace(config, shots=0), small_dataset, tmp_path / "f0.csv")
+        overlap_scatter(config, small_dataset, tmp_path / "w.csv")
+        rows = [line.split(",")
+                for line in (tmp_path / "w.csv").read_text().splitlines()[1:]]
+        w = np.array([[float(r[3]), float(r[4])] for r in rows])
+        w = w.reshape(24, config.k + 1, 4, 2)
+        times = config.feature_map().times()
+        for (spec, _, _), x, x0, w_i in zip(read_dataset(small_dataset),
+                                            read_features(tmp_path / "f.csv"),
+                                            read_features(tmp_path / "f0.csv"), w):
+            lambda_ref = reference_eigenstate(spec).eigenvalue
+            est = reconstruct_amplitudes(w_i[..., 1], lambda_ref, times)
+            np.testing.assert_array_equal(x[0::2], est.real)
+            np.testing.assert_array_equal(x[1::2], est.imag[1:])
+            exact = reconstruct_amplitudes(w_i[..., 0], lambda_ref, times)
+            np.testing.assert_allclose(x0[0::2], exact.real, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(x0[1::2], exact.imag[1:], rtol=0, atol=1e-15)
 
 
 class TestReproduce:

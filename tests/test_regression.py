@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hamfourier.features import FeatureMapConfig, exact_features
+from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.regression import (
     DesignMatrix,
     Metrics,
@@ -44,7 +44,7 @@ class TestDesignMatrix:
         for _ in range(20):
             spec = random_spec(4, rng)
             psi = random_sector_state(4, 2, rng)
-            rows.append(exact_features(spec, psi, cfg))
+            rows.append(feature_vector(spec, psi, cfg))
         x = np.array(rows)
         assert np.sum(x**2) <= (2 * k_order + 1) * len(rows) + 1e-9
 

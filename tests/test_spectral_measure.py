@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from hamfourier.evolution import amplitudes
-from hamfourier.features import FeatureMapConfig, exact_features
+from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
     LANCZOS_TOL,
-    EigenCache,
     ResourceLimitError,
     sector_eigensystem,
     sector_states,
@@ -62,9 +61,8 @@ def targets(rng):
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_lanczos_matches_dense(n, rng):
     spec = random_spec(n, rng)
-    cache = EigenCache()
     for name, psi in sweep_states(n, rng).items():
-        dense = spectral_weights(spec, psi, cache)
+        dense = spectral_weights(spec, psi)
         a_dense = sum(np.exp(-1j * np.outer(TIMES, r.eigenvalues)) @ r.probabilities
                       for r in dense)
         assert np.max(np.abs(amplitudes(spec, psi, TIMES) - a_dense)) <= 1e-12, name
@@ -115,19 +113,18 @@ def test_features_use_one_measure(rng, monkeypatch):
     original = ev.spectral_measure
     monkeypatch.setattr(ev, "spectral_measure",
                         lambda *a: calls.append(1) or original(*a))
-    exact_features(random_spec(8, rng), domain_wall(8), FeatureMapConfig(K=K, C=C))
+    feature_vector(random_spec(8, rng), domain_wall(8), FeatureMapConfig(K=K, C=C))
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [4, 8])
 def test_step_label_is_dense_bit_for_bit(n, rng):
     spec = random_spec(n, rng)
-    cache = EigenCache()
     for psi in sweep_states(n, rng).values():
         for threshold in (-0.4, 0.1, 0.9):
             fspec = step(threshold, C)
             dense = float(sum(np.sum(r.probabilities * eval_f(fspec, r.eigenvalues))
-                              for r in spectral_weights(spec, psi, cache)))
+                              for r in spectral_weights(spec, psi)))
             assert label(spec, psi, fspec) == dense
 
 
