@@ -25,6 +25,9 @@ from .bounds import (
     expected_loss_bound,
     expected_loss_terms,
 )
+from .features import ConfigError
+from .hamiltonians import DimensionError, ResourceLimitError
+from .labels import DomainError
 from .pipeline import (
     SEED_ENV_VAR,
     ExperimentConfig,
@@ -37,6 +40,11 @@ from .pipeline import (
     json_17g,
     overlap_scatter,
 )
+
+#: the package's refusals of its inputs: every subcommand prints them as
+#: "error: <message>" and exits with code 2; other exceptions propagate
+INPUT_ERRORS = (ConfigError, DimensionError, DomainError, ResourceLimitError,
+                UnknownRowError)
 
 # CLI flag name -> ExperimentConfig field
 _CONFIG_FLAGS = {
@@ -172,18 +180,21 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--out", type=Path, default=Path("reproduce_out"))
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "bound":
         return _run_bound(args)
 
     if args.command == "reproduce":
         env_seed = os.environ.get(SEED_ENV_VAR)
         seed = int(env_seed) if env_seed is not None else args.seed
-        try:
-            result = cmd_reproduce(args.row, args.out, seed=seed)
-        except UnknownRowError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = cmd_reproduce(args.row, args.out, seed=seed)
         return 0 if result["pass"] else 1
 
     config = build_config(args)

@@ -12,7 +12,12 @@ closed-form two-qubit gates.  One step with dt = t/n_step is
 
     exp(-i dt/2 H_odd) · exp(-i dt H_even) · exp(-i dt/2 H_odd)
 
-repeated n_step times.
+repeated n_step times.  Every gate conserves magnetization, so the circuit
+runs on ψ's occupied sectors with all times in one pass: each component is
+a (d, K+1) array, one column per t_l, and step s gives θ = 0 (the exact
+identity) to the columns with schedule[l] <= s.  A bond gate is two row
+operations: rows with equal bits m, m+1 pick up e^{-iθ}, flip rows mix with
+their partners.  Cost per sample: O(max schedule · bonds · d · K).
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ import numpy as np
 
 from .hamiltonians import (
     CouplingSpec,
+    _sector_pattern,
+    _state_array,
     occupied_magnetizations,
     sector_eigensystem,
     spectral_measure,
 )
-from .states import StateVector, inner
+from .states import StateVector
 
 
 @dataclass(frozen=True)
@@ -55,34 +62,47 @@ class TrotterSchedule:
         return ",".join(str(s) for s in self.steps)
 
 
-def heisenberg_gate(j: float, dt: float) -> np.ndarray:
-    """exp(-i·θ·(XX+YY+ZZ)) with θ = j·dt, in closed form.
+def heisenberg_gate(j, dt) -> np.ndarray:
+    """exp(-i·θ·(XX+YY+ZZ)) with θ = j·dt, in closed form; array j or dt
+    broadcast to a stack of gates of shape θ.shape + (4, 4).
 
     |00> and |11> pick up e^{-iθ}; on span{|01>, |10>} the bond term is
     -I + 2·SWAP, giving the block e^{+iθ}(cos 2θ · I - i sin 2θ · SWAP).
     """
-    theta = j * dt
-    u = np.zeros((4, 4), dtype=complex)
-    edge = np.exp(-1j * theta)
-    u[0, 0] = edge
-    u[3, 3] = edge
+    theta = np.multiply(j, dt)
+    u = np.zeros(theta.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = np.exp(-1j * theta)
     mid = np.exp(1j * theta)
-    u[1, 1] = u[2, 2] = mid * np.cos(2 * theta)
-    u[1, 2] = u[2, 1] = mid * (-1j) * np.sin(2 * theta)
+    u[..., 1, 1] = u[..., 2, 2] = mid * np.cos(2 * theta)
+    u[..., 1, 2] = u[..., 2, 1] = mid * (-1j) * np.sin(2 * theta)
     return u
 
 
-def _apply_pair_gate(vec: np.ndarray, u: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Apply a 4x4 gate to qubits (m, m+1) of a dense statevector."""
-    block = vec.reshape(2**m, 4, -1)
-    return np.einsum("ab,ibj->iaj", u, block).reshape(-1)
-
-
-def _layer_gates(spec: CouplingSpec, parity: int,
-                 dt: float) -> list[tuple[int, np.ndarray]]:
-    """(m, gate on qubits m, m+1) for the bonds of one parity."""
-    return [(m, heisenberg_gate(j, dt)) for m, j in enumerate(spec.couplings)
-            if m % 2 == parity]
+def _strang_sectors(spec: CouplingSpec, vec: np.ndarray, times, steps):
+    """The Strang circuit with steps[l] steps of dt = times[l]/steps[l], for
+    all l in one pass: per occupied sector of vec, (basis states, component
+    c, V) with V[:, l] the evolved component for time l."""
+    n, j = spec.n, np.asarray(spec.couplings)
+    steps = np.asarray(steps)
+    dt = np.asarray(times, dtype=float) / steps
+    order = [*range(1, n - 1, 2), *range(0, n - 1, 2), *range(1, n - 1, 2)]
+    sweep = []  # (bond, its gates over l) in circuit order; θ = 0 when done
+    for s in range(steps.max()):
+        dt_s = np.where(steps > s, dt, 0.0)
+        half, full = heisenberg_gate(j[:, None], dt_s / 2), heisenberg_gate(
+            j[:, None], dt_s)
+        sweep += [(m, (half if m % 2 else full)[m]) for m in order]
+    for k in occupied_magnetizations(n, vec):
+        basis, _, rows, cols, bonds = _sector_pattern(n, k)
+        cut = np.searchsorted(bonds, np.arange(n))  # bond m: cut[m]:cut[m+1]
+        c = vec[basis.states]
+        v = np.repeat(c[:, None], len(dt), axis=1)
+        for m, u in sweep:  # flip rows mix with partners, the rest get e^{-iθ}
+            f = slice(cut[m], cut[m + 1])
+            mixed = u[:, 1, 1] * v[cols[f]] + u[:, 1, 2] * v[rows[f]]
+            v *= u[:, 0, 0]
+            v[cols[f]] = mixed
+        yield basis.states, c, v
 
 
 def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
@@ -94,16 +114,11 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     """
     if n_step < 1:
         raise ValueError(f"n_step must be >= 1, got {n_step}")
-    n = spec.n
-    dt = t / n_step
-    half_odd = _layer_gates(spec, parity=1, dt=dt / 2)
-    full_even = _layer_gates(spec, parity=0, dt=dt)
-    vec = v.amplitudes.copy()
-    for _ in range(n_step):
-        for layer in (half_odd, full_even, half_odd):
-            for m, gate in layer:
-                vec = _apply_pair_gate(vec, gate, m, n)
-    return StateVector(n=n, amplitudes=vec)
+    out = np.zeros(2**spec.n, dtype=complex)
+    for states, _, evolved in _strang_sectors(spec, _state_array(spec, v),
+                                              [t], [n_step]):
+        out[states] = evolved[:, 0]
+    return StateVector(n=spec.n, amplitudes=out)
 
 
 def exact_evolve(spec: CouplingSpec, v: StateVector, t: float) -> StateVector:
@@ -131,8 +146,13 @@ def amplitudes(spec: CouplingSpec, psi: StateVector, times,
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if schedule is not None:
-        return np.array([inner(psi, trotter_evolve(spec, psi, t, schedule[l]))
-                         for l, t in enumerate(times)])
+        if len(schedule) != len(times):
+            raise ValueError(f"schedule has {len(schedule)} step counts for "
+                             f"{len(times)} times")
+        # einsum: a threaded BLAS call this small stalls on busy cores
+        return sum(np.einsum("d,dl->l", np.conj(c), evolved)
+                   for _, c, evolved in _strang_sectors(
+                       spec, _state_array(spec, psi), times, schedule.steps))
 
     def phases(nodes):
         return np.exp(-1j * np.outer(times, nodes))

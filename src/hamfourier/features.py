@@ -157,7 +157,7 @@ def overlap_reference(spec: CouplingSpec, psi: StateVector) -> float:
     ref = reference_eigenstate(spec)
     overlap = psi.amplitudes[int(ref.bitstring, 2)]
     if abs(overlap) > 1e-10:
-        raise ValueError(
+        raise ConfigError(
             f"state is not orthogonal to the reference eigenstate "
             f"(overlap {abs(overlap):.3e})"
         )

@@ -14,7 +14,13 @@ from hamfourier.hamiltonians import (
     ResourceLimitError,
     apply_hamiltonian,
 )
-from hamfourier.states import basis_state, domain_wall, inner, superpose
+from hamfourier.states import (
+    StateVector,
+    basis_state,
+    domain_wall,
+    inner,
+    superpose,
+)
 
 from conftest import (
     IDENTITY,
@@ -116,6 +122,53 @@ class TestTrotterEvolve:
             trotter_evolve(random_spec(4, rng), domain_wall(4), 1.0, 0)
 
 
+def strang_oracle(spec, t, n_step):
+    """The full 2^n Strang circuit as a product of np.kron-expanded expm
+    bond gates, independent of the sector kernel."""
+    n, dt = spec.n, t / n_step
+    step = np.eye(2**n, dtype=complex)
+    for parity, tau in ((1, dt / 2), (0, dt), (1, dt / 2)):
+        for m, j in enumerate(spec.couplings):
+            if m % 2 == parity:
+                ops = [IDENTITY] * (n - 1)
+                ops[m] = expm(-1j * j * tau * BOND)
+                step = kron_chain(ops) @ step
+    return np.linalg.matrix_power(step, n_step)
+
+
+def multi_sector_state(n, rng):
+    """A state on three or four sectors, |0...0> and |1...1> included, with
+    relative phases 1, -1, i, -i."""
+    amps = sum(phase * random_sector_state(n, k, rng).amplitudes
+               for phase, k in zip((1, -1, 1j, -1j), (0, 1, n // 2, n)))
+    return StateVector(n=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+class TestStrangKernel:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_kronecker_circuit(self, rng, n):
+        spec = random_spec(n, rng)
+        psi = multi_sector_state(n, rng)
+        times = np.array([0.0, 2.3, 0.9, 3.7])
+        schedule = TrotterSchedule(steps=(3, 1, 2, 1))
+        oracles = [strang_oracle(spec, t, s)
+                   for t, s in zip(times, schedule.steps)]
+        for t, s, u in zip(times, schedule.steps, oracles):
+            np.testing.assert_allclose(
+                trotter_evolve(spec, psi, t, s).amplitudes,
+                u @ psi.amplitudes, rtol=0, atol=1e-13)
+        expected = [np.vdot(psi.amplitudes, u @ psi.amplitudes)
+                    for u in oracles]
+        np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
+                                   expected, rtol=0, atol=1e-13)
+
+    def test_broadcast_gate_equals_scalar_gates(self, rng):
+        j = rng.uniform(-1, 1, size=5)
+        dt = np.concatenate([[0.0], rng.uniform(-4, 4, size=6)])
+        stacked = np.array([[heisenberg_gate(a, b) for b in dt] for a in j])
+        np.testing.assert_array_equal(heisenberg_gate(j[:, None], dt), stacked)
+
+
 class TestExactEvolve:
     def test_reference_state_accumulates_phase_only(self, rng):
         for n in (2, 5):
@@ -208,8 +261,16 @@ class TestAmplitude:
         schedule = TrotterSchedule.parse("1,2,3")
         expected = [inner(psi, trotter_evolve(spec, psi, t, s))
                     for t, s in zip(times, schedule.steps)]
-        np.testing.assert_array_equal(amplitudes(spec, psi, times, schedule),
-                                      expected)
+        np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
+                                   expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_times, n_steps", [(3, 5), (4, 2)])
+    def test_schedule_length_must_match_times(self, rng, n_times, n_steps):
+        spec = random_spec(4, rng)
+        schedule = TrotterSchedule(steps=(1,) * n_steps)
+        with pytest.raises(ValueError, match=f"{n_steps} .* {n_times} times"):
+            amplitudes(spec, domain_wall(4), np.linspace(0, 2, n_times),
+                       schedule)
 
 
 class TestTrotterSchedule:

@@ -489,6 +489,26 @@ class TestCli:
         assert rc == 2
         assert "desk-scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state, flags, message", [
+        ("domain_wall", ["--backend", "exact", "--shots", "5"],
+         "draws no shots"),
+        ("domain_wall", ["--nstep-schedule", "1,1"], "need K+1 = 4"),
+        ("0000", ["--backend", "overlap-shots", "--shots", "10"],
+         "not orthogonal"),
+    ])
+    def test_refused_input_is_an_error_line(self, tmp_path, capsys, state,
+                                            flags, message):
+        data = tmp_path / "d.jsonl"
+        base = ["--n", "4", "--num", "5", "--seed", "3", "--k", "3"]
+        assert main(["generate", *base, "--f", "exp", "--state", state,
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        rc = main(["features", *base, *flags, "--in", str(data),
+                   "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+
     def test_scatter_cli_modes(self, tmp_path, small_dataset, capsys):
         out = tmp_path / "sc.csv"
         rc = main(["scatter", "--in", str(small_dataset), "--n", "4",
