@@ -41,8 +41,9 @@ print("max |reconstructed - exact amplitude| =", np.max(np.abs(rec - amps)))
 
 print("\n=== shot noise shrinks as 1/sqrt(N_shot) ===")
 for n_shot in (100, 10_000):
-    devs = [overlap_frequencies(w[1:2], n_shot, seed=0, sample_index=rep)[0, 0]
-            - w[1, 0] for rep in range(200)]
+    reps = np.arange(200)  # one sample index, so one substream, per repetition
+    devs = (overlap_frequencies(np.tile(w[1:2], (len(reps), 1, 1)), n_shot,
+                                seed=0, samples=reps)[:, 0, 0] - w[1, 0])
     print(f"N_shot = {n_shot:6d}: rms deviation of w+ = "
           f"{np.sqrt(np.mean(np.square(devs))):.5f}")
 

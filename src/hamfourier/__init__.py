@@ -10,6 +10,7 @@ from .bounds import (
 )
 from .evolution import (
     TrotterSchedule,
+    amplitude_rows,
     amplitudes,
     exact_evolve,
     heisenberg_gate,
@@ -18,8 +19,8 @@ from .evolution import (
 from .features import (
     FeatureMapConfig,
     estimate,
+    feature_rows,
     feature_vector,
-    hadamard_estimate,
     overlap_frequencies,
     overlap_reference,
     overlaps_from_amplitudes,
@@ -33,8 +34,7 @@ from .hamiltonians import (
     sample_couplings,
     sector_eigensystem,
     spectral_bound,
-    spectral_measure,
-    spectral_weights,
+    spectral_measures,
 )
 from .labels import (
     FunctionSpec,
@@ -43,6 +43,7 @@ from .labels import (
     exp_neg_beta,
     fourier_series,
     label,
+    label_rows,
     sine,
     step,
 )
@@ -56,15 +57,11 @@ from .regression import (
     fit_ols,
     fit_ridge,
 )
-from .rng import substream
+from .rng import substream, substreams
 from .states import (
-    ReferenceEigenstate,
     StateVector,
     basis_state,
     domain_wall,
-    inner,
-    reference_eigenstate,
-    superpose,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
 """Time evolution under a coupling spec, and the amplitude layer of the
-feature map: amplitudes(spec, ψ, times, schedule) = <ψ|U(t_l)|ψ>, for
-U(t) = e^{-iHt} from one spectral measure of ψ
-(hamiltonians.spectral_measure) or, when a schedule is given, for the
-Strang circuit with schedule[l] steps.  exact_evolve (dense sector eigh)
-is the reference that tests compare both against.
+feature map: amplitude_rows(specs, ψ, times, schedule) = <ψ|U(t_l)|ψ> for
+a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt} from
+one spectral measure of ψ per sample (hamiltonians.spectral_measures) or,
+when a schedule is given, the Strang circuit with schedule[l] steps.
+exact_evolve (dense sector eigh) is the tests' reference for both.
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -32,7 +32,7 @@ from .hamiltonians import (
     _state_array,
     occupied_magnetizations,
     sector_eigensystem,
-    spectral_measure,
+    spectral_sum,
 )
 from .states import StateVector
 
@@ -136,26 +136,33 @@ def exact_evolve(spec: CouplingSpec, v: StateVector, t: float) -> StateVector:
     return StateVector(n=n, amplitudes=out)
 
 
-def amplitudes(spec: CouplingSpec, psi: StateVector, times,
-               schedule: TrotterSchedule | None = None) -> np.ndarray:
-    """A(t_l) = <psi|U(t_l)|psi> for every t_l in times; |A| <= 1.
-
-    Without a schedule, A(t) = sum_j w_j e^{-i θ_j t} from one spectral
-    measure of psi certified on all times; with one, U(t_l) is the Strang
-    circuit with schedule[l] steps.
+def amplitude_rows(specs, psi: StateVector, times,
+                   schedule: TrotterSchedule | None = None) -> np.ndarray:
+    """A(t_l) = <psi|U(t_l)|psi>, a row per spec of a batch sharing n and a
+    column per t_l; |A| <= 1.  Without a schedule, A(t) = sum_j w_j
+    e^{-i θ_j t} from one spectral measure of psi per sample, certified on
+    all times; with one, U(t_l) is the Strang circuit with schedule[l] steps.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if schedule is not None:
         if len(schedule) != len(times):
             raise ValueError(f"schedule has {len(schedule)} step counts for "
                              f"{len(times)} times")
+        vec = _state_array(specs[0], psi)
         # einsum: a threaded BLAS call this small stalls on busy cores
-        return sum(np.einsum("d,dl->l", np.conj(c), evolved)
-                   for _, c, evolved in _strang_sectors(
-                       spec, _state_array(spec, psi), times, schedule.steps))
+        return np.array([sum(np.einsum("d,dl->l", np.conj(c), evolved)
+                             for _, c, evolved in _strang_sectors(
+                                 spec, vec, times, schedule.steps))
+                         for spec in specs])
 
     def phases(nodes):
-        return np.exp(-1j * np.outer(times, nodes))
+        return np.exp(-1j * (times[:, None] * nodes[..., None, :]))
 
-    return sum(phases(rec.eigenvalues) @ rec.probabilities
-               for rec in spectral_measure(spec, psi, phases))
+    return spectral_sum(specs, psi, lambda nodes, weights: (
+        phases(nodes) @ weights[..., None])[..., 0], phases)
+
+
+def amplitudes(spec: CouplingSpec, psi: StateVector, times,
+               schedule: TrotterSchedule | None = None) -> np.ndarray:
+    """A(t_l) = <psi|U(t_l)|psi> of one spec: amplitude_rows' batch of one."""
+    return amplitude_rows([spec], psi, times, schedule)[0]

@@ -8,10 +8,11 @@ the times t_l = lπ/C:
     x[2l-1]   = Im A(t_l)        (l = 1..K)
     x[2l]     = Re A(t_l)        (l = 1..K)
 
-feature_vector composes the two layers:
+feature_rows composes the two layers for a batch of samples sharing ψ
+(feature_vector is the batch of one):
 
-  amplitude layer  evolution.amplitudes: A(t_l) from one spectral measure
-                   of ψ per sample, or from the Strang circuit with
+  amplitude layer  evolution.amplitude_rows: A(t_l) from one spectral
+                   measure of ψ per sample, or from the Strang circuit with
                    schedule[l] steps when a schedule is present.
   noise layer      estimate: what the backend's readout measures of A.
                    With n_shot = 0 it returns A unchanged, since both
@@ -19,7 +20,8 @@ feature_vector composes the two layers:
                    A itself (for the overlap readout
                    reconstruct(overlaps(A)) = A exactly).  With n_shot >= 1:
     hadamard-shots   each quadrature is the mean of N_shot ±1 outcomes
-                     with P(+1) = (1 + value)/2.
+                     with P(+1) = (1 + value)/2 (Re A on circuit
+                     CIRCUIT_COS, Im A on CIRCUIT_SIN).
     overlap-shots    the four probabilities w_± = |<ψ_±|U(t)|ψ_+>|²,
                      w_±i = |<ψ_±i|U(t)|ψ_+>|² are estimated as empirical
                      frequencies and recombined as
@@ -45,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TrotterSchedule, amplitudes
+from .evolution import TrotterSchedule, amplitude_rows
 from .hamiltonians import CouplingSpec, spectral_bound
-from .rng import ROLE_SHOTS, substream
-from .states import StateVector, reference_eigenstate
+from .rng import ROLE_SHOTS, substreams
+from .states import StateVector
 
 BACKENDS = ("exact", "hadamard-shots", "overlap-shots")
 
@@ -103,65 +105,84 @@ class FeatureMapConfig:
         return np.arange(self.K + 1) * np.pi / self.C
 
 
-def feature_vector(spec: CouplingSpec, psi: StateVector, cfg: FeatureMapConfig,
-                   sample_index: int = 0) -> np.ndarray:
-    """The 2K+1 features of one sample: the amplitude layer, then the noise
-    layer.  x[0] = 1 and |x_k| <= 1 without shots."""
-    bound = spectral_bound(spec)
+def feature_rows(specs, psi: StateVector, cfg: FeatureMapConfig,
+                 samples=None) -> np.ndarray:
+    """The 2K+1 features of a batch of samples sharing psi, one row each:
+    the amplitude layer, then the noise layer.  Row b is sample samples[b]
+    (default 0..B-1), whose index keys its shot substreams.  x[:, 0] = 1
+    and |x| <= 1 without shots."""
+    samples = np.arange(len(specs)) if samples is None else np.asarray(samples)
+    bound = max(map(spectral_bound, specs))
     if cfg.C < bound * (1.0 - 1e-9):
         raise ConfigError(
             f"C = {cfg.C} is below the spectral bound {bound}; eigenvalues "
             "would wrap around the Fourier period"
         )
-    amps = estimate(amplitudes(spec, psi, cfg.times(), cfg.schedule),
-                    spec, psi, cfg, sample_index)
-    x = np.empty(2 * cfg.K + 1)
-    x[0::2] = amps.real
-    x[1::2] = amps.imag[1:]  # the l = 0 sine vanishes
+    lambda_ref = None
+    if cfg.backend == "overlap-shots":  # the check holds at any n_shot
+        lambda_ref = np.array([overlap_reference(s, psi) for s in specs])
+    amps = estimate(amplitude_rows(specs, psi, cfg.times(), cfg.schedule),
+                    cfg, samples, lambda_ref)
+    x = np.empty((len(specs), 2 * cfg.K + 1))
+    x[:, 0::2] = amps.real
+    x[:, 1::2] = amps.imag[:, 1:]  # the l = 0 sine vanishes
     return x
 
 
-def estimate(amps: np.ndarray, spec: CouplingSpec, psi: StateVector,
-             cfg: FeatureMapConfig, sample_index: int = 0) -> np.ndarray:
-    """Noise layer: the backend's estimate of A(t_l) at cfg.times(); A
-    itself when n_shot = 0.
+def feature_vector(spec: CouplingSpec, psi: StateVector, cfg: FeatureMapConfig,
+                   sample_index: int = 0) -> np.ndarray:
+    """The features of one sample: feature_rows' batch of one."""
+    return feature_rows([spec], psi, cfg, [sample_index])[0]
+
+
+def estimate(amps: np.ndarray, cfg: FeatureMapConfig, samples,
+             lambda_ref=None) -> np.ndarray:
+    """Noise layer: the backend's estimate of A(t_l) at cfg.times() for
+    every row of amps (shape (B, K+1)); amps itself when n_shot = 0.
+    Row b draws from the substreams of sample samples[b]; the overlap
+    readout needs the rows' reference eigenvalues lambda_ref.
 
     Sampling draws from the exactly computed outcome probabilities instead
     of simulating measurement circuits — statistically identical and far
     cheaper.  Every estimated circuit gets its own substream keyed by
-    (seed, ROLE_SHOTS, sample_index, l, circuit id), so results are
+    (seed, ROLE_SHOTS, sample, l, circuit id), so results are
     reproducible independent of evaluation order.
     """
-    if cfg.backend == "overlap-shots":  # the check holds at any n_shot
-        lambda_ref = overlap_reference(spec, psi)
     if cfg.n_shot == 0:
         return amps
     if cfg.backend == "hadamard-shots":
-        est = np.empty(len(amps), dtype=complex)
-        for l, a in enumerate(amps):
-            est[l] = complex(
-                hadamard_estimate(a, "real", cfg.n_shot, substream(
-                    cfg.seed, ROLE_SHOTS, sample_index, l, CIRCUIT_COS)),
-                hadamard_estimate(a, "imag", cfg.n_shot, substream(
-                    cfg.seed, ROLE_SHOTS, sample_index, l, CIRCUIT_SIN)))
+        if np.any(np.abs(amps) > 1.0 + 1e-9):
+            raise ValueError(f"|A| = {np.max(np.abs(amps))} exceeds 1")
+        p = np.stack([amps.real, amps.imag], axis=-1)  # P(+1), in place:
+        p += 1.0  # the batch's temporaries dominate the stage's memory
+        p /= 2.0
+        counts = _shot_counts(np.clip(p, 0.0, 1.0, out=p), cfg.n_shot,
+                              cfg.seed, samples)
+        means = 2.0 * counts
+        means -= cfg.n_shot
+        means /= cfg.n_shot
+        est = np.empty(amps.shape, dtype=complex)
+        est.real, est.imag = means[..., CIRCUIT_COS], means[..., CIRCUIT_SIN]
         return est
-    times = cfg.times()  # overlap-shots: the exact backend takes no shots
+    if lambda_ref is None:  # overlap-shots: the exact backend takes no shots
+        raise ConfigError("the overlap readout needs lambda_ref")
+    times, lambda_ref = cfg.times(), np.asarray(lambda_ref)[:, None]
     w = overlap_frequencies(overlaps_from_amplitudes(amps, lambda_ref, times),
-                            cfg.n_shot, cfg.seed, sample_index)
+                            cfg.n_shot, cfg.seed, samples)
     return reconstruct_amplitudes(w, lambda_ref, times)
 
 
 def overlap_reference(spec: CouplingSpec, psi: StateVector) -> float:
-    """λ_ref of the overlap readout's reference |0...0>, after checking that
-    psi is orthogonal to it, as the readout needs."""
-    ref = reference_eigenstate(spec)
-    overlap = psi.amplitudes[int(ref.bitstring, 2)]
+    """λ_ref = sum_m J_m of the overlap readout's reference |0...0> (each Z Z
+    term gives +J_m, the flips annihilate it), after checking that psi is
+    orthogonal to it, as the readout needs."""
+    overlap = psi.amplitudes[0]
     if abs(overlap) > 1e-10:
         raise ConfigError(
             f"state is not orthogonal to the reference eigenstate "
             f"(overlap {abs(overlap):.3e})"
         )
-    return ref.eigenvalue
+    return float(np.sum(spec.couplings))
 
 
 def overlaps_from_amplitudes(amps: np.ndarray, lambda_ref: float,
@@ -188,31 +209,25 @@ def reconstruct_amplitudes(w: np.ndarray, lambda_ref: float,
     return out
 
 
+def _shot_counts(p: np.ndarray, n_shot: int, seed: int, samples) -> np.ndarray:
+    """Successes of N_shot shots per circuit, for outcome probabilities p of
+    shape samples.shape + (L, circuits): entry (..., l, circuit) draws from
+    the substream (seed, ROLE_SHOTS, sample, l, circuit)."""
+    if n_shot < 1:
+        raise ValueError(f"n_shot must be >= 1, got {n_shot}")
+    times, circuits = p.shape[-2:]
+    keys = ((ROLE_SHOTS, s, l, c)
+            for s in np.broadcast_to(samples, p.shape[:-2]).ravel().tolist()
+            for l in range(times) for c in range(circuits))
+    draws = (gen.binomial(n_shot, q)
+             for gen, q in zip(substreams(seed, keys), p.ravel()))
+    return np.fromiter(draws, dtype=np.int64, count=p.size).reshape(p.shape)
+
+
 def overlap_frequencies(w: np.ndarray, n_shot: int, seed: int,
-                        sample_index: int) -> np.ndarray:
-    """Empirical frequencies of N_shot shots per circuit: entry (l, circuit)
-    draws from the substream (seed, ROLE_SHOTS, sample_index, l, circuit);
-    each entry is an unbiased estimate of the exact probability."""
-    if n_shot < 1:
-        raise ValueError(f"n_shot must be >= 1, got {n_shot}")
+                        samples) -> np.ndarray:
+    """Empirical frequencies of N_shot shots per circuit for overlap
+    probabilities w of shape samples.shape + (L, 4); each entry is an
+    unbiased estimate of the exact probability."""
     # clip float dust so the exact w = 1 or 0 cases stay degenerate
-    p = np.clip(w, 0.0, 1.0)
-    counts = [[substream(seed, ROLE_SHOTS, sample_index, l, circuit)
-               .binomial(n_shot, p[l, circuit]) for circuit in range(p.shape[1])]
-              for l in range(p.shape[0])]
-    return np.array(counts, dtype=float) / n_shot
-
-
-def hadamard_estimate(a: complex, part: str, n_shot: int,
-                      rng: np.random.Generator) -> float:
-    """Mean of N_shot ±1 outcomes with P(+1) = (1 + v)/2, where v is the
-    requested quadrature (Re A or Im A); unbiased for v."""
-    if part not in ("real", "imag"):
-        raise ValueError(f"part must be 'real' or 'imag', got {part!r}")
-    if n_shot < 1:
-        raise ValueError(f"n_shot must be >= 1, got {n_shot}")
-    if abs(a) > 1.0 + 1e-9:
-        raise ValueError(f"|A| = {abs(a)} exceeds 1")
-    v = a.real if part == "real" else a.imag
-    successes = rng.binomial(n_shot, min(max((1.0 + v) / 2.0, 0.0), 1.0))
-    return (2.0 * successes - n_shot) / n_shot
+    return _shot_counts(np.clip(w, 0.0, 1.0), n_shot, seed, samples) / n_shot

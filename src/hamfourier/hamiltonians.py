@@ -6,8 +6,9 @@ Bit convention (global, used by every module): qubit 0 is the most
 significant bit of a basis index, so |b0 b1 ... b_{n-1}> lives at index
 int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
 popcount), which lets us work on one sector block at a time instead of
-the full 2^n matrix: by certified Lanczos quadrature from matrix-free H·v
-(spectral_measure) or by dense eigh (spectral_weights, the test oracle).
+the full 2^n matrix, for a batch of specs at once (spectral_measures): by
+certified Lanczos quadrature from matrix-free H·v or by stacked dense eigh.
+sector_eigensystem (one dense eigh) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ LANCZOS_STEP = 8
 #: Smaller sectors are diagonalized densely, which is cheaper there: the
 #: per-sample crossover for K=11 features lies between d=70 and d=126.
 LANCZOS_MIN_DIM = 100
+#: Dense sector blocks go through eigh in stacks of at most this many
+#: entries (6 samples at d=70, 81 at d=20, one from d=129 up): a stack's
+#: blocks, eigenvectors and their complex copy then stay near 1 MiB.
+EIGH_STACK_ENTRIES = 2**15
 
 
 class DimensionError(ValueError):
@@ -84,11 +89,13 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Measure of a state ψ on one sector: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>.
+    """Measures of a state ψ on one sector for b samples of a batch, one row
+    each: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>, arrays of shape (b, depth).
 
     Dense records hold all eigenvalues and p_l = |<λ_l|ψ>|² (depth d, gap
-    0); Lanczos records hold Gauss nodes and weights, the Krylov depth, and
-    the last relative change of the certified integrals (0: exhausted)."""
+    0); Lanczos records (b = 1) hold Gauss nodes and weights, the Krylov
+    depth, and the last relative change of the certified integrals (0:
+    exhausted)."""
 
     magnetization: int
     eigenvalues: np.ndarray = field(repr=False)
@@ -188,13 +195,21 @@ def sector_states(n: int, magnetization: int) -> SectorBasis:
     return _sector_pattern(n, magnetization)[0]
 
 
+def _sector_blocks(couplings: np.ndarray, magnetization: int) -> np.ndarray:
+    """Dense sector blocks (B, d, d) for the rows of a (B, n-1) coupling
+    array: the Z Z diagonal summed over bonds in order, then the flips."""
+    n = couplings.shape[1] + 1
+    basis, signs, rows, cols, bonds = _sector_pattern(n, magnetization)
+    mat = np.zeros((len(couplings), basis.dim, basis.dim))
+    diag = np.arange(basis.dim)
+    mat[:, diag, diag] = (couplings[:, :, None] * signs).sum(axis=1)
+    mat[:, rows, cols] += 2.0 * couplings[:, bonds]
+    return mat
+
+
 def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
     """Dense real-symmetric block of H on one magnetization sector."""
-    _, signs, rows, cols, bonds = _sector_pattern(basis.n, basis.magnetization)
-    j = np.asarray(spec.couplings)
-    mat = np.diag((j[:, None] * signs).sum(axis=0))  # bonds summed in order
-    mat[rows, cols] += 2.0 * j[bonds]
-    return mat
+    return _sector_blocks(np.array([spec.couplings]), basis.magnetization)[0]
 
 
 def sector_eigensystem(spec: CouplingSpec, magnetization: int):
@@ -212,68 +227,85 @@ def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
     return sorted({int(i).bit_count() for i in np.nonzero(vec)[0]})
 
 
-def spectral_weights(spec: CouplingSpec, v) -> list[SpectralMeasure]:
-    """Per-sector dense (eigenvalues, p_l) records for a state; for a
-    normalized state the probabilities of all records sum to 1."""
-    vec = _state_array(spec, v)
-    return [_dense_record(k, vec, sector_eigensystem(spec, k))
-            for k in occupied_magnetizations(spec.n, vec)]
-
-
-def _dense_record(k: int, vec: np.ndarray, eigensystem) -> SpectralMeasure:
-    evals, evecs, basis = eigensystem
-    amps = evecs.T @ vec[basis.states]  # <λ_l|ψ>, eigenvectors are real
-    return SpectralMeasure(k, evals, np.abs(amps) ** 2, basis.dim, gap=0.0)
-
-
-def spectral_measure(spec: CouplingSpec, v, integrand) -> list[SpectralMeasure]:
-    """Certified Gauss quadrature of a state's measure, one record per
-    occupied sector: Lanczos from the sector component c gives a depth-m
-    tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes and weights
-    ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant, 2010).  The
-    integrals of integrand(θ) (nodes on the last axis) certify the depth.
-    Sectors below LANCZOS_MIN_DIM get the exact dense record instead."""
-    vec = _state_array(spec, v)
-    breakdown = 1e-12 * spectral_bound(spec)  # residual of an invariant space
-    records = []
-    for k in occupied_magnetizations(spec.n, vec):
-        if math.comb(spec.n, k) < LANCZOS_MIN_DIM:
-            records.append(_dense_record(k, vec, sector_eigensystem(spec, k)))
-            continue
-        _check_dim(spec.n, k)
-        basis, apply = _sector_operator(spec, k)
-        d = basis.dim
+def spectral_measures(specs, v, integrand=None):
+    """Measures of a state v under a batch of specs sharing n: yields the
+    records of ψ's occupied sectors in ascending order, each sector's
+    records covering the batch in order.  Sectors below LANCZOS_MIN_DIM (all
+    when integrand is None) are exact, by eigh of stacked blocks.  The rest
+    get certified Gauss quadrature per sample: Lanczos from the component c
+    gives a depth-m tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes
+    and weights ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant,
+    2010), deep enough that integrand(θ) @ weights settles."""
+    n = specs[0].n
+    if any(spec.n != n for spec in specs):
+        raise DimensionError("a batch of specs must share n")
+    vec = _state_array(specs[0], v)
+    couplings = np.array([spec.couplings for spec in specs])
+    for k in occupied_magnetizations(n, vec):
+        _check_dim(n, k)
+        basis = sector_states(n, k)
         comp = vec[basis.states]
-        comp = comp.real if not np.any(comp.imag) else comp
-        weight = float(np.vdot(comp, comp).real)
-        r, krylov = comp / math.sqrt(weight), np.empty((0, d), comp.dtype)
-        alphas, betas, prev = [], [], np.inf  # first checkpoint: gap inf
-        while True:  # grow the basis by LANCZOS_STEP rows per checkpoint
-            m0 = len(alphas)
-            krylov = np.concatenate(
-                [krylov, np.empty((min(LANCZOS_STEP, d - m0), d), r.dtype)])
-            for i in range(m0, len(krylov)):
-                krylov[i], r = r, apply(r)
-                alphas.append(np.vdot(krylov[i], r).real)
-                for _ in range(2):  # classical Gram-Schmidt, twice
-                    r = r - np.conj(krylov[:i + 1] @ np.conj(r)) @ krylov[:i + 1]
-                betas.append(np.linalg.norm(r))
-                exhausted = i + 1 == d or betas[-1] <= breakdown  # exact
-                if exhausted:
-                    break
-                r = r / betas[-1]
-            off = betas[:-1]
-            nodes, u = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1)
-                                      + np.diag(off, -1))
-            weights = weight * u[0] ** 2
-            value = integrand(nodes) @ weights
-            gap = 0.0 if exhausted else float(
-                np.max(np.abs(value - prev) / np.maximum(1.0, np.abs(value))))
-            if gap <= LANCZOS_TOL:
+        if integrand is not None and basis.dim >= LANCZOS_MIN_DIM:
+            yield from (_lanczos(spec, k, comp, integrand) for spec in specs)
+            continue
+        size = max(1, EIGH_STACK_ENTRIES // basis.dim**2)
+        for start in range(0, len(specs), size):
+            evals, evecs = np.linalg.eigh(
+                _sector_blocks(couplings[start:start + size], k))
+            probs = np.abs(evecs.transpose(0, 2, 1) @ comp) ** 2  # real evecs
+            yield SpectralMeasure(k, evals, probs, basis.dim, gap=0.0)
+
+
+def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:
+    """Sum over occupied sectors of reduce(eigenvalues, probabilities), which
+    maps a record's (b, m) arrays to b rows, for every sample of the batch;
+    integrand is spectral_measures'."""
+    total, sector, start = None, None, 0
+    for rec in spectral_measures(specs, v, integrand):  # reduced as made
+        part = reduce(rec.eigenvalues, rec.probabilities)
+        if total is None:  # zeros + part rounds like sum()'s 0 + part
+            total = np.zeros((len(specs), *part.shape[1:]), part.dtype)
+        if rec.magnetization != sector:  # each sector covers the batch anew
+            sector, start = rec.magnetization, 0
+        total[start:start + len(part)] += part
+        start += len(part)
+    return total
+
+
+def _lanczos(spec: CouplingSpec, k: int, comp: np.ndarray, integrand):
+    """Certified Lanczos record of the sector-k component comp."""
+    breakdown = 1e-12 * spectral_bound(spec)  # residual of an invariant space
+    _, apply = _sector_operator(spec, k)
+    d = len(comp)
+    comp = comp.real if not np.any(comp.imag) else comp
+    weight = float(np.vdot(comp, comp).real)
+    r, krylov = comp / math.sqrt(weight), np.empty((0, d), comp.dtype)
+    alphas, betas, prev = [], [], np.inf  # first checkpoint: gap inf
+    while True:  # grow the basis by LANCZOS_STEP rows per checkpoint
+        m0 = len(alphas)
+        krylov = np.concatenate(
+            [krylov, np.empty((min(LANCZOS_STEP, d - m0), d), r.dtype)])
+        for i in range(m0, len(krylov)):
+            krylov[i], r = r, apply(r)
+            alphas.append(np.vdot(krylov[i], r).real)
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                r = r - np.conj(krylov[:i + 1] @ np.conj(r)) @ krylov[:i + 1]
+            betas.append(np.linalg.norm(r))
+            exhausted = i + 1 == d or betas[-1] <= breakdown  # exact
+            if exhausted:
                 break
-            prev = value
-        records.append(SpectralMeasure(k, nodes, weights, len(alphas), gap))
-    return records
+            r = r / betas[-1]
+        off = betas[:-1]
+        nodes, u = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1)
+                                  + np.diag(off, -1))
+        weights = weight * u[0] ** 2
+        value = integrand(nodes) @ weights
+        gap = 0.0 if exhausted else float(
+            np.max(np.abs(value - prev) / np.maximum(1.0, np.abs(value))))
+        if gap <= LANCZOS_TOL:
+            break
+        prev = value
+    return SpectralMeasure(k, nodes[None], weights[None], len(alphas), gap)
 
 
 # --- JSONL interchange -------------------------------------------------

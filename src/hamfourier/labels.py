@@ -1,8 +1,10 @@
 """Target functions f and exact labels y = Tr[f(H)ρ].
 
-Labels integrate f against the spectral measure of ψ: y = sum_j w_j f(θ_j).
-A smooth f uses the Lanczos measure certified on y (as the exact features
-do); a step, where Gauss quadrature does not converge, the dense sector eigh.
+Labels integrate f against the spectral measure of ψ: y = sum_j w_j f(θ_j),
+for a batch of specs at once (label_rows; label is the batch of one).  A
+smooth f uses the measure certified on y (as the exact features do); a
+step, where Gauss quadrature does not converge, the dense sector eigh in
+every sector.
 
 Sign convention: the sine-type basis functions carry a minus sign,
 matching the feature quadratures (x_sin,l = Im Tr[e^{-ilπH/C}ρ]
@@ -13,12 +15,13 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CouplingSpec, spectral_measure, spectral_weights
+from .hamiltonians import CouplingSpec, spectral_sum
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -136,12 +139,14 @@ def eval_f(fspec: FunctionSpec, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec) -> float:
-    """y = Tr[f(H)ρ] = sum_j w_j f(θ_j); |y| <= sup_norm."""
-    def f(nodes):
-        return eval_f(fspec, nodes)
+def label_rows(specs, psi: StateVector, fspec: FunctionSpec) -> np.ndarray:
+    """y = Tr[f(H)ρ] = sum_j w_j f(θ_j) for every spec of a batch sharing n;
+    |y| <= sup_norm."""
+    f = functools.partial(eval_f, fspec)
+    return spectral_sum(specs, psi, lambda nodes, weights: np.sum(
+        weights * f(nodes), axis=-1), None if fspec.kind == "step" else f)
 
-    records = (spectral_weights(spec, psi) if fspec.kind == "step"
-               else spectral_measure(spec, psi, f))
-    return float(sum(np.sum(rec.probabilities * f(rec.eigenvalues))
-                     for rec in records))
+
+def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec) -> float:
+    """y = Tr[f(H)ρ] of one spec: label_rows' batch of one."""
+    return float(label_rows([spec], psi, fspec)[0])

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import features as ft
 from . import labels as lb
-from .evolution import TrotterSchedule, amplitudes
+from .evolution import TrotterSchedule, amplitude_rows
+from .features import ConfigError
 from .hamiltonians import (
     CouplingSpec,
     coupling_from_record,
@@ -40,7 +41,7 @@ from .regression import (
     fit_ols,
     fit_ridge,
 )
-from .rng import ROLE_COUPLINGS, ROLE_SPLIT, ROLE_VALID, substream
+from .rng import ROLE_COUPLINGS, ROLE_SPLIT, ROLE_VALID, substream, substreams
 from .states import StateVector, basis_state, domain_wall
 
 SEED_ENV_VAR = "HAMFOURIER_SEED"
@@ -81,11 +82,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must lie in (0, 1), got {self.split}")
+            raise ConfigError(f"split must lie in (0, 1), got {self.split}")
         if self.num < 0:
-            raise ValueError(f"num must be >= 0, got {self.num}")
+            raise ConfigError(f"num must be >= 0, got {self.num}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method not in ("ols", "ridge", "constrained"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
 
     def function_spec(self) -> lb.FunctionSpec:
         if self.f_kind == "exp":
@@ -96,11 +99,11 @@ class ExperimentConfig:
             return lb.sine(self.beta, self.c)
         if self.f_kind == "fourier":
             if not self.coeffs:
-                raise ValueError("f_kind 'fourier' needs coeffs")
+                raise ConfigError("f_kind 'fourier' needs coeffs")
             return lb.fourier_series(self.coeffs, self.c)
         if self.f_kind == "step":
             return lb.step(self.beta, self.c)
-        raise ValueError(f"unknown f_kind {self.f_kind!r}")
+        raise ConfigError(f"unknown f_kind {self.f_kind!r}")
 
     def feature_map(self) -> ft.FeatureMapConfig:
         schedule = (TrotterSchedule.parse(self.schedule)
@@ -144,7 +147,7 @@ def state_from_descriptor(n: int, descriptor) -> StateVector:
         return domain_wall(n)
     if isinstance(descriptor, dict) and "basis" in descriptor:
         return basis_state(n, descriptor["basis"])
-    raise ValueError(f"unknown state descriptor {descriptor!r}")
+    raise ConfigError(f"unknown state descriptor {descriptor!r}")
 
 
 # --- 17-significant-digit serialization ---------------------------------
@@ -184,14 +187,14 @@ def cmd_generate(config: ExperimentConfig, out_path) -> Path:
     out_path = Path(out_path)
     fspec = config.function_spec()
     psi = config.psi()
+    keys = ((ROLE_COUPLINGS, i) for i in range(config.num))
+    specs = [sample_couplings(config.n, rng)
+             for rng in substreams(config.seed, keys)]
     lines = []
-    for i in range(config.num):
-        rng = substream(config.seed, ROLE_COUPLINGS, i)
-        spec = sample_couplings(config.n, rng)
-        y = lb.label(spec, psi, fspec)
+    for spec, y in zip(specs, lb.label_rows(specs, psi, fspec) if specs else []):
         record = coupling_record(spec)
         record["state"] = config.state_descriptor()
-        record["y"] = y
+        record["y"] = float(y)
         lines.append(json_17g(record))
     if not lines:
         warnings.warn("generated an empty dataset (num = 0)")
@@ -203,6 +206,24 @@ def cmd_generate(config: ExperimentConfig, out_path) -> Path:
 def sidecar_path(path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".config.json")
+
+
+def _by_state(rows, compute) -> list:
+    """compute(specs, psi, indices) on the dataset rows grouped by qubit
+    count and state, one batch per group; returns the result rows in
+    dataset order.  Indices are row indices, which key the shot streams."""
+    groups = {}
+    for i, (spec, descriptor, _) in enumerate(rows):
+        key = (spec.n, json.dumps(descriptor, sort_keys=True))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(rows)
+    for idx in groups.values():
+        n, descriptor = rows[idx[0]][0].n, rows[idx[0]][1]
+        result = compute([rows[i][0] for i in idx],
+                         state_from_descriptor(n, descriptor), np.array(idx))
+        for i, value in zip(idx, result):
+            out[i] = value
+    return out
 
 
 def read_dataset(path) -> list[tuple[CouplingSpec, object, float]]:
@@ -223,11 +244,8 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
     cfg = config.feature_map()
     rows = read_dataset(dataset_path)
     header = ",".join(f"x{j}" for j in range(2 * config.k + 1))
-    lines = [header]
-    for i, (spec, descriptor, _) in enumerate(rows):
-        psi = state_from_descriptor(spec.n, descriptor)
-        x = ft.feature_vector(spec, psi, cfg, i)
-        lines.append(",".join(format_float(v) for v in x))
+    lines = [header] + [",".join(format_float(v) for v in x) for x in _by_state(
+        rows, lambda specs, psi, idx: ft.feature_rows(specs, psi, cfg, idx))]
     atomic_write(out_path, "".join(line + "\n" for line in lines))
     provenance = {
         "K": cfg.K, "C": cfg.C, "backend": cfg.backend, "n_shot": cfg.n_shot,
@@ -278,7 +296,7 @@ def fit_model(config: ExperimentConfig, train: DesignMatrix) -> RegressionModel:
             alpha = _select_ridge_alpha(train, config.seed)
         return fit_ridge(train, alpha)
     if config.w_bound is None:
-        raise ValueError("method 'constrained' needs w_bound")
+        raise ConfigError("method 'constrained' needs w_bound")
     return fit_constrained(train, config.w_bound)
 
 
@@ -329,16 +347,19 @@ def overlap_scatter(config: ExperimentConfig, dataset_path, out_path) -> Path:
     the draws and the Trotter schedule of the matching feature rows; rows
     at t = 0 show the degenerate peaks w_+ = 1 and w_±i = 1/2."""
     if config.shots < 1:
-        raise ValueError("overlap scatter needs shots >= 1")
-    rows = read_dataset(dataset_path)
+        raise ConfigError("overlap scatter needs shots >= 1")
     cfg = replace(config, backend="overlap-shots").feature_map()
     lines, times = ["sample,l,circuit,exact,estimated"], cfg.times()
-    for i, (spec, descriptor, _) in enumerate(rows):
-        psi = state_from_descriptor(spec.n, descriptor)
-        lambda_ref = ft.overlap_reference(spec, psi)
+
+    def scatter(specs, psi, idx):  # rows (w, its estimate), shape (2, L, 4)
+        lambda_ref = np.array([ft.overlap_reference(s, psi) for s in specs])
         w = ft.overlaps_from_amplitudes(
-            amplitudes(spec, psi, times, cfg.schedule), lambda_ref, times)
-        est = ft.overlap_frequencies(w, cfg.n_shot, cfg.seed, i)
+            amplitude_rows(specs, psi, times, cfg.schedule),
+            lambda_ref[:, None], times)
+        return np.stack(
+            [w, ft.overlap_frequencies(w, cfg.n_shot, cfg.seed, idx)], axis=1)
+
+    for i, (w, est) in enumerate(_by_state(read_dataset(dataset_path), scatter)):
         for l in range(len(times)):
             for circuit, name in enumerate(ft.OVERLAP_NAMES):
                 lines.append(f"{i},{l},{name},{format_float(w[l, circuit])},"

@@ -4,13 +4,24 @@ matrix-free / sector-block code paths they validate."""
 import numpy as np
 import pytest
 
-from hamfourier.hamiltonians import CouplingSpec, sector_states
+from hamfourier.hamiltonians import (
+    CouplingSpec,
+    DimensionError,
+    occupied_magnetizations,
+    sector_eigensystem,
+    sector_states,
+)
 from hamfourier.states import StateVector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
+
+ORTHO_TOL = 1e-10
+
+#: Relative phases accepted by superpose.
+PHASES = (1, -1, 1j, -1j)
 
 
 def kron_chain(ops):
@@ -34,6 +45,40 @@ def dense_hamiltonian(spec: CouplingSpec) -> np.ndarray:
             ops[m + 1] = pauli
             h += j * kron_chain(ops)
     return h
+
+
+def inner(a: StateVector, b: StateVector) -> complex:
+    """<a|b> with conjugation on a."""
+    if a.n != b.n:
+        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def superpose(psi_ref: StateVector, psi: StateVector, phase: complex) -> StateVector:
+    """(psi_ref + phase·psi)/sqrt(2) for phase in {+1, -1, +i, -i}.
+
+    Inputs must be orthogonal; the output is then exactly unit norm.
+    """
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
+    overlap = inner(psi_ref, psi)
+    if abs(overlap) > ORTHO_TOL:
+        raise ValueError(
+            f"inputs are not orthogonal: |<psi_ref|psi>| = {abs(overlap):.3e}"
+        )
+    amps = (psi_ref.amplitudes + phase * psi.amplitudes) / np.sqrt(2.0)
+    return StateVector(n=psi_ref.n, amplitudes=amps)
+
+
+def dense_measure(spec: CouplingSpec, psi: StateVector):
+    """Dense oracle of the spectral measure, one sector_eigensystem per
+    occupied sector: [(eigenvalues, p_l = |<λ_l|ψ>|²)]."""
+    records = []
+    for k in occupied_magnetizations(spec.n, psi.amplitudes):
+        evals, evecs, basis = sector_eigensystem(spec, k)
+        amps = evecs.T @ psi.amplitudes[basis.states]
+        records.append((evals, np.abs(amps) ** 2))
+    return records
 
 
 def random_spec(n: int, rng: np.random.Generator) -> CouplingSpec:

@@ -15,16 +15,17 @@ from hamfourier.bounds import BoundInputs, hoeffding_shots, expected_loss_bound
 from hamfourier.evolution import amplitudes, exact_evolve, trotter_evolve
 from hamfourier.features import (
     FeatureMapConfig,
+    feature_rows,
     feature_vector,
     overlap_reference,
     overlaps_from_amplitudes,
     reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import apply_hamiltonian, sample_couplings
-from hamfourier.labels import fourier_series, label
+from hamfourier.labels import fourier_series, label, label_rows
 from hamfourier.pipeline import cmd_reproduce
 from hamfourier.regression import DesignMatrix, fit_constrained
-from hamfourier.rng import substream
+from hamfourier.rng import substream, substreams
 from hamfourier.states import basis_state, domain_wall
 
 from conftest import random_sector_state, random_spec
@@ -125,12 +126,9 @@ def test_criterion_6_expected_loss_bound():
         c = coeff_rng.normal(size=2 * k_order + 1)
         c *= w_budget / np.linalg.norm(c)
         fspec = fourier_series(c, 3.0)
-        xs, ys = [], []
-        for i in range(n_data + n_eval):
-            spec = sample_couplings(6, substream(master, 1, e, i))
-            xs.append(feature_vector(spec, psi, cfg))
-            ys.append(label(spec, psi, fspec))
-        xs, ys = np.array(xs), np.array(ys)
+        keys = [(1, e, i) for i in range(n_data + n_eval)]
+        specs = [sample_couplings(6, g) for g in substreams(master, keys)]
+        xs, ys = feature_rows(specs, psi, cfg), label_rows(specs, psi, fspec)
         model = fit_constrained(DesignMatrix(X=xs[:n_data], y=ys[:n_data]),
                                 w_budget)
         mc_loss = float(np.mean((ys[n_data:] - xs[n_data:] @ model.weights) ** 2))

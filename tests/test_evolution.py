@@ -18,17 +18,17 @@ from hamfourier.states import (
     StateVector,
     basis_state,
     domain_wall,
-    inner,
-    superpose,
 )
 
 from conftest import (
     IDENTITY,
     dense_hamiltonian,
+    inner,
     kron_chain,
     random_dense_state,
     random_sector_state,
     random_spec,
+    superpose,
 )
 
 BOND = dense_hamiltonian(CouplingSpec(n=2, couplings=(1.0,)))  # XX+YY+ZZ, 4x4

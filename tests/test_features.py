@@ -8,23 +8,23 @@ from hamfourier.features import (
     OVERLAP_NAMES,
     ConfigError,
     FeatureMapConfig,
+    estimate,
     feature_vector,
-    hadamard_estimate,
     overlap_frequencies,
     overlap_reference,
     overlaps_from_amplitudes,
     reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import CouplingSpec
-from hamfourier.states import (
-    basis_state,
-    domain_wall,
+from hamfourier.states import basis_state, domain_wall
+
+from conftest import (
+    dense_hamiltonian,
     inner,
-    reference_eigenstate,
+    random_sector_state,
+    random_spec,
     superpose,
 )
-
-from conftest import dense_hamiltonian, random_sector_state, random_spec
 
 
 def overlaps_at(spec, psi, times):
@@ -137,8 +137,7 @@ class TestExactOverlaps:
             spec = random_spec(n, rng)
             k = rng.integers(1, n + 1)
             psi = random_sector_state(n, int(k), rng)
-            ref = reference_eigenstate(spec)
-            ref_state = basis_state(ref.n, ref.bitstring)
+            ref_state = basis_state(n, "0" * n)
             plus = superpose(ref_state, psi, 1)
             t = float(rng.uniform(0, np.pi))
             evolved = exact_evolve(spec, plus, t)
@@ -222,32 +221,38 @@ class TestSampleOverlaps:
 
 
 class TestHadamardEstimate:
-    def test_extreme_amplitude_is_deterministic(self, rng):
-        assert hadamard_estimate(1.0 + 0j, "real", 50, rng) == 1.0
-        assert hadamard_estimate(-1j, "imag", 50, rng) == -1.0
+    # the Hadamard readout of estimate on a column of amplitudes (K = 0):
+    # one row per repetition, each with its own substreams
+    SEED = 20260811
 
-    def test_zero_amplitude_statistics(self, rng):
+    def hadamard(self, amps, n_shot):
+        cfg = FeatureMapConfig(K=0, C=3.0, backend="hadamard-shots",
+                               n_shot=n_shot, seed=self.SEED)
+        amps = np.asarray(amps, dtype=complex).reshape(-1, 1)
+        return estimate(amps, cfg, np.arange(len(amps)))[:, 0]
+
+    def test_extreme_amplitude_is_deterministic(self):
+        est = self.hadamard([1.0 + 0j, -1j], 50)
+        assert est[0].real == 1.0
+        assert est[1].imag == -1.0
+
+    def test_zero_amplitude_statistics(self):
         n_shot, reps = 400, 2000
-        vals = np.array([hadamard_estimate(0j, "real", n_shot, rng)
-                         for _ in range(reps)])
+        vals = self.hadamard(np.zeros(reps), n_shot).real
         assert abs(vals.mean()) <= 3 / np.sqrt(n_shot * reps)
         assert vals.std() == pytest.approx(1 / np.sqrt(n_shot), rel=0.1)
 
-    def test_unbiased_both_parts(self, rng):
+    def test_unbiased_both_parts(self):
         a = 0.3 - 0.55j
         n_shot, reps = 128, 8000
-        for part, target in (("real", a.real), ("imag", a.imag)):
-            vals = [hadamard_estimate(a, part, n_shot, rng) for _ in range(reps)]
+        est = self.hadamard(np.full(reps, a), n_shot)
+        for vals, target in ((est.real, a.real), (est.imag, a.imag)):
             stderr = np.sqrt((1 - target**2) / n_shot / reps)
             assert abs(np.mean(vals) - target) <= 3 * stderr
 
-    def test_rejects_super_unit_amplitude(self, rng):
+    def test_rejects_super_unit_amplitude(self):
         with pytest.raises(ValueError):
-            hadamard_estimate(1.1 + 0j, "real", 10, rng)
-
-    def test_rejects_bad_part(self, rng):
-        with pytest.raises(ValueError):
-            hadamard_estimate(0.5 + 0j, "abs", 10, rng)
+            self.hadamard([1.1 + 0j], 10)
 
 
 class TestNoisyFeatures:

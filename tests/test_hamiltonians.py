@@ -17,7 +17,7 @@ from hamfourier.hamiltonians import (
     sector_matrix,
     sector_states,
     spectral_bound,
-    spectral_weights,
+    spectral_measures,
 )
 from hamfourier.pipeline import json_17g
 
@@ -226,7 +226,7 @@ class TestSpectralWeights:
     def test_probabilities_sum_to_one_in_sector(self, rng):
         spec = random_spec(5, rng)
         psi = random_sector_state(5, 2, rng)
-        records = spectral_weights(spec, psi)
+        records = list(spectral_measures([spec], psi))
         assert len(records) == 1
         assert records[0].magnetization == 2
         assert abs(np.sum(records[0].probabilities) - 1.0) <= 1e-10
@@ -234,7 +234,7 @@ class TestSpectralWeights:
     def test_multi_sector_state(self, rng):
         spec = random_spec(4, rng)
         psi = random_dense_state(4, rng)
-        records = spectral_weights(spec, psi)
+        records = list(spectral_measures([spec], psi))
         total = sum(np.sum(r.probabilities) for r in records)
         assert abs(total - 1.0) <= 1e-10
 

@@ -366,8 +366,7 @@ class TestScatter:
                                                         small_dataset):
         # the scatter plots the very draws and schedule behind the features
         from dataclasses import replace
-        from hamfourier.features import reconstruct_amplitudes
-        from hamfourier.states import reference_eigenstate
+        from hamfourier.features import overlap_reference, reconstruct_amplitudes
         config = replace(SMALL, backend="overlap-shots", shots=50,
                          schedule="1,2,2,3")
         cmd_features(config, small_dataset, tmp_path / "f.csv")
@@ -381,7 +380,7 @@ class TestScatter:
         for (spec, _, _), x, x0, w_i in zip(read_dataset(small_dataset),
                                             read_features(tmp_path / "f.csv"),
                                             read_features(tmp_path / "f0.csv"), w):
-            lambda_ref = reference_eigenstate(spec).eigenvalue
+            lambda_ref = overlap_reference(spec, SMALL.psi())
             est = reconstruct_amplitudes(w_i[..., 1], lambda_ref, times)
             np.testing.assert_array_equal(x[0::2], est.real)
             np.testing.assert_array_equal(x[1::2], est.imag[1:])
@@ -505,6 +504,28 @@ class TestCli:
         capsys.readouterr()
         rc = main(["features", *base, *flags, "--in", str(data),
                    "--out", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--split", "2"], "split must lie in (0, 1)"),
+        (["generate", "--seed", "-1"], "seed must be >= 0"),
+        (["generate", "--f", "fourier"], "needs coeffs"),
+        (["train", "--method", "constrained"], "needs w_bound"),
+        (["scatter", "--shots", "0"], "needs shots >= 1"),
+    ])
+    def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
+                                             capsys, argv, message):
+        feats = tmp_path / "f.csv"
+        cmd_features(SMALL, small_dataset, feats)
+        paths = {"generate": ["--out", str(tmp_path / "g.jsonl")],
+                 "train": ["--in", str(small_dataset), "--features", str(feats),
+                           "--out", str(tmp_path / "run")],
+                 "scatter": ["--in", str(small_dataset), "--out",
+                             str(tmp_path / "s.csv")]}
+        rc = main([*argv, "--n", "4", "--num", "5", "--k", "3",
+                   *paths[argv[0]]])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and message in err

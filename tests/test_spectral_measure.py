@@ -1,9 +1,10 @@
 """The Lanczos spectral measure against the dense sector eigendecomposition.
 
 Features A(t_l) = sum_l p_l e^{-iλ_l t_l} and labels y = sum_l p_l f(λ_l)
-from hamiltonians.spectral_measure must match the dense spectral_weights
-records to 1e-12 across n = 4..12, for single-sector, multi-sector and
-complex (phase ±i) states, and every record must carry its certificate.
+from hamiltonians.spectral_measures must match the dense oracle (one
+sector_eigensystem per sector) to 1e-12 across n = 4..12, for
+single-sector, multi-sector and complex (phase ±i) states, and every
+record must carry its certificate.
 Sectors below LANCZOS_MIN_DIM take the dense path, so Lanczos itself runs
 at n = 10 and 12 (and at n = 8 nowhere: its largest sector has d = 70).
 """
@@ -21,13 +22,12 @@ from hamfourier.hamiltonians import (
     ResourceLimitError,
     sector_eigensystem,
     sector_states,
-    spectral_measure,
-    spectral_weights,
+    spectral_measures,
 )
 from hamfourier.labels import cosine, eval_f, exp_neg_beta, fourier_series, label, sine, step
-from hamfourier.states import StateVector, basis_state, domain_wall, superpose
+from hamfourier.states import StateVector, basis_state, domain_wall
 
-from conftest import random_sector_state, random_spec
+from conftest import dense_measure, random_sector_state, random_spec, superpose
 
 K, C = 11, 3.0
 TIMES = np.arange(K + 1) * np.pi / C
@@ -62,13 +62,11 @@ def targets(rng):
 def test_lanczos_matches_dense(n, rng):
     spec = random_spec(n, rng)
     for name, psi in sweep_states(n, rng).items():
-        dense = spectral_weights(spec, psi)
-        a_dense = sum(np.exp(-1j * np.outer(TIMES, r.eigenvalues)) @ r.probabilities
-                      for r in dense)
+        dense = dense_measure(spec, psi)
+        a_dense = sum(np.exp(-1j * np.outer(TIMES, evals)) @ p for evals, p in dense)
         assert np.max(np.abs(amplitudes(spec, psi, TIMES) - a_dense)) <= 1e-12, name
         for fspec in targets(rng):
-            y_dense = sum(np.sum(r.probabilities * eval_f(fspec, r.eigenvalues))
-                          for r in dense)
+            y_dense = sum(np.sum(p * eval_f(fspec, evals)) for evals, p in dense)
             y = label(spec, psi, fspec)
             assert abs(y - y_dense) <= 1e-12 * max(1.0, abs(y_dense)), (name, fspec.kind)
 
@@ -81,7 +79,7 @@ def test_records_carry_certificate(n, rng):
         return np.exp(-1j * np.outer(TIMES, nodes))
 
     for name, psi in sweep_states(n, rng).items():
-        for rec in spectral_measure(spec, psi, phases):
+        for rec in spectral_measures([spec], psi, phases):
             d = math.comb(n, rec.magnetization)
             assert 1 <= rec.depth <= d, name
             assert 0.0 <= rec.gap <= LANCZOS_TOL, name
@@ -100,18 +98,20 @@ def test_invariant_krylov_space_exhausts_exactly(rng):
     assert basis.dim >= LANCZOS_MIN_DIM
     amps = np.zeros(2**10, dtype=complex)
     amps[basis.states] = evecs[:, [3, 100, 250]] @ np.array([0.6, 0.64j, -0.48])
-    (rec,) = spectral_measure(spec, StateVector(n=10, amplitudes=amps),
-                              lambda nodes: nodes)
+    (rec,) = spectral_measures([spec], StateVector(n=10, amplitudes=amps),
+                               lambda nodes: nodes)
     assert rec.depth == 3 and rec.gap == 0.0
-    np.testing.assert_allclose(rec.eigenvalues, evals[[3, 100, 250]], atol=1e-12)
-    np.testing.assert_allclose(rec.probabilities, [0.36, 0.4096, 0.2304], atol=1e-12)
+    np.testing.assert_allclose(rec.eigenvalues[0], evals[[3, 100, 250]],
+                               atol=1e-12)
+    np.testing.assert_allclose(rec.probabilities[0], [0.36, 0.4096, 0.2304],
+                               atol=1e-12)
 
 
 def test_features_use_one_measure(rng, monkeypatch):
     import hamfourier.evolution as ev
     calls = []
-    original = ev.spectral_measure
-    monkeypatch.setattr(ev, "spectral_measure",
+    original = ev.spectral_sum
+    monkeypatch.setattr(ev, "spectral_sum",
                         lambda *a: calls.append(1) or original(*a))
     feature_vector(random_spec(8, rng), domain_wall(8), FeatureMapConfig(K=K, C=C))
     assert len(calls) == 1
@@ -123,8 +123,8 @@ def test_step_label_is_dense_bit_for_bit(n, rng):
     for psi in sweep_states(n, rng).values():
         for threshold in (-0.4, 0.1, 0.9):
             fspec = step(threshold, C)
-            dense = float(sum(np.sum(r.probabilities * eval_f(fspec, r.eigenvalues))
-                              for r in spectral_weights(spec, psi)))
+            dense = float(sum(np.sum(p * eval_f(fspec, evals))
+                              for evals, p in dense_measure(spec, psi)))
             assert label(spec, psi, fspec) == dense
 
 
