@@ -9,7 +9,6 @@ from .bounds import (
     expected_loss_bound,
 )
 from .evolution import (
-    TrotterSchedule,
     amplitude_rows,
     amplitudes,
     exact_evolve,
@@ -27,6 +26,7 @@ from .features import (
     reconstruct_amplitudes,
 )
 from .hamiltonians import (
+    ConfigError,
     CouplingSpec,
     SectorBasis,
     SpectralMeasure,
@@ -36,17 +36,7 @@ from .hamiltonians import (
     spectral_bound,
     spectral_measures,
 )
-from .labels import (
-    FunctionSpec,
-    cosine,
-    eval_f,
-    exp_neg_beta,
-    fourier_series,
-    label,
-    label_rows,
-    sine,
-    step,
-)
+from .labels import FunctionSpec, eval_f, label, label_rows
 from .pipeline import ExperimentConfig, cmd_reproduce
 from .regression import (
     DesignMatrix,

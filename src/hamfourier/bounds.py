@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .hamiltonians import ConfigError
+
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -31,14 +33,14 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         if self.K < 0:
-            raise ValueError(f"K must be >= 0, got {self.K}")
+            raise ConfigError(f"K must be >= 0, got {self.K}")
         if self.N_d < 1:
-            raise ValueError(f"N_d must be >= 1, got {self.N_d}")
+            raise ConfigError(f"N_d must be >= 1, got {self.N_d}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         for name in ("W", "f_inf", "eps_K", "eta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative")
 
 
 def expected_loss_terms(b: BoundInputs) -> dict[str, float]:
@@ -83,9 +85,9 @@ def sufficient_parameters(eps: float, w_budget: float, f_inf: float) -> tuple[in
     ceilings applied so the result is a concrete integer pair.
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     if w_budget <= 0 or f_inf <= 0:
-        raise ValueError("W and f_inf must be positive")
+        raise ConfigError("W and f_inf must be positive")
     rate = math.log(1.0 / eps) / eps
     return math.ceil(rate), math.ceil((w_budget * f_inf * rate) ** 4)
 
@@ -96,9 +98,9 @@ def hoeffding_shots(eta: float, delta: float, K: int) -> int:
     outcomes) pushed below delta/(2K+1) by union bound, giving
     N_shot = ceil((2/eta²)·ln(2(2K+1)/δ))."""
     if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+        raise ConfigError(f"eta must be positive, got {eta}")
     if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+        raise ConfigError(f"K must be >= 0, got {K}")
     return math.ceil(2.0 / eta**2 * math.log(2.0 * (2 * K + 1) / delta))

@@ -5,7 +5,11 @@ Subcommands: generate | features | train | bound | scatter | reproduce.
 Option precedence for the experiment knobs: HAMFOURIER_SEED environment
 variable (master seed only) > explicit flags > --config JSON file >
 built-in defaults.  The config file mirrors the flag names with underscores
-(e.g. {"n": 12, "nstep_schedule": "1,1,2"}).
+(e.g. {"n": 12, "nstep_schedule": "1,1,2"}) or the ExperimentConfig field
+names; where a file gives both spellings, the flag's wins.
+
+Every refused input is a ConfigError: each subcommand prints it as
+"error: <message>" and exits with code 2; other exceptions propagate.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bounds import (
@@ -25,13 +30,13 @@ from .bounds import (
     expected_loss_bound,
     expected_loss_terms,
 )
-from .features import ConfigError
-from .hamiltonians import DimensionError, ResourceLimitError
-from .labels import DomainError
+from .features import BACKENDS
+from .hamiltonians import ConfigError
+from .labels import KINDS
 from .pipeline import (
+    METHODS,
     SEED_ENV_VAR,
     ExperimentConfig,
-    UnknownRowError,
     cmd_features,
     cmd_generate,
     cmd_reproduce,
@@ -41,19 +46,10 @@ from .pipeline import (
     overlap_scatter,
 )
 
-#: the package's refusals of its inputs: every subcommand prints them as
-#: "error: <message>" and exits with code 2; other exceptions propagate
-INPUT_ERRORS = (ConfigError, DimensionError, DomainError, ResourceLimitError,
-                UnknownRowError)
-
-# CLI flag name -> ExperimentConfig field
-_CONFIG_FLAGS = {
-    "n": "n", "num": "num", "seed": "seed", "k": "k", "c": "c",
-    "backend": "backend", "shots": "shots", "nstep_schedule": "schedule",
-    "method": "method", "w_bound": "w_bound", "alpha": "alpha",
-    "split": "split", "f": "f_kind", "beta": "beta", "coeffs": "coeffs",
-    "state": "state",
-}
+#: ExperimentConfig fields, which are the config flags' argparse dests
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
+#: config-file spellings of the two flags whose field is named otherwise
+_FILE_ALIASES = {"nstep_schedule": "schedule", "f": "f_kind"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -63,18 +59,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--k", type=int, help="Fourier truncation order K")
     p.add_argument("--c", type=float, help="spectral bound C")
-    p.add_argument("--backend",
-                   choices=["exact", "hadamard-shots", "overlap-shots"])
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--shots", type=int,
                    help="shots per estimated circuit (0 = no sampling)")
-    p.add_argument("--nstep-schedule", dest="nstep_schedule",
+    p.add_argument("--nstep-schedule", dest="schedule",
                    help="comma-separated Trotter steps per l, e.g. 1,1,2,2")
-    p.add_argument("--method", choices=["ols", "ridge", "constrained"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--w-bound", dest="w_bound", type=float,
                    help="norm budget W for the constrained fit")
     p.add_argument("--alpha", type=float, help="ridge penalty")
     p.add_argument("--split", type=float, help="train fraction")
-    p.add_argument("--f", choices=["exp", "cos", "sin", "fourier", "step"],
+    p.add_argument("--f", dest="f_kind", choices=KINDS,
                    help="target function kind")
     p.add_argument("--beta", type=float,
                    help="scalar parameter of f (beta / t / threshold)")
@@ -82,24 +77,31 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", help="'domain_wall' or a basis bitstring")
 
 
+def _env_seed() -> int | None:
+    """The master seed from HAMFOURIER_SEED, None when it is unset."""
+    value = os.environ.get(SEED_ENV_VAR)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, "
+                          f"got {value!r}") from None
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = json.loads(Path(args.config).read_text())
-        for flag, field in _CONFIG_FLAGS.items():
-            if flag in file_values:
-                values[field] = file_values[flag]
-            elif field in file_values:
-                values[field] = file_values[field]
-    for flag, field in _CONFIG_FLAGS.items():
-        given = getattr(args, flag, None)
-        if given is not None:
-            values[field] = given
-    if isinstance(values.get("coeffs"), str):
-        values["coeffs"] = tuple(float(c) for c in values["coeffs"].split(","))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        values["seed"] = int(env_seed)
+        values = {k: v for k, v in file_values.items() if k in _FIELDS}
+        values.update((field, file_values[flag])
+                      for flag, field in _FILE_ALIASES.items()
+                      if flag in file_values)
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in _FIELDS and v is not None)
+    seed = _env_seed()
+    if seed is not None:
+        values["seed"] = seed
     return ExperimentConfig.from_dict(values)
 
 
@@ -182,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except INPUT_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -192,9 +194,9 @@ def _run(args: argparse.Namespace) -> int:
         return _run_bound(args)
 
     if args.command == "reproduce":
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        seed = int(env_seed) if env_seed is not None else args.seed
-        result = cmd_reproduce(args.row, args.out, seed=seed)
+        seed = _env_seed()
+        result = cmd_reproduce(args.row, args.out,
+                               seed=args.seed if seed is None else seed)
         return 0 if result["pass"] else 1
 
     config = build_config(args)
@@ -224,9 +226,7 @@ def _run(args: argparse.Namespace) -> int:
         elif args.in_path:
             overlap_scatter(config, args.in_path, args.out)
         else:
-            print("error: scatter needs either --exact/--noisy or --in",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("scatter needs either --exact/--noisy or --in")
         print(f"wrote {args.out}")
         return 0
 

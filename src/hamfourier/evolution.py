@@ -22,11 +22,10 @@ their partners.  Cost per sample: O(max schedule · bonds · d · K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hamiltonians import (
+    ConfigError,
     CouplingSpec,
     _sector_pattern,
     _state_array,
@@ -35,31 +34,6 @@ from .hamiltonians import (
     spectral_sum,
 )
 from .states import StateVector
-
-
-@dataclass(frozen=True)
-class TrotterSchedule:
-    """Trotter step counts n_step, one per feature index l = 0..K."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(s < 1 for s in self.steps):
-            raise ValueError("all step counts must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, l: int) -> int:
-        return self.steps[l]
-
-    @classmethod
-    def parse(cls, text: str) -> "TrotterSchedule":
-        """Parse a comma-separated integer list, e.g. "1,1,2,2,3"."""
-        return cls(steps=tuple(int(tok) for tok in text.split(",")))
-
-    def render(self) -> str:
-        return ",".join(str(s) for s in self.steps)
 
 
 def heisenberg_gate(j, dt) -> np.ndarray:
@@ -113,7 +87,7 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     (every factor is); the approximation error is O((t/n_step)^2) globally.
     """
     if n_step < 1:
-        raise ValueError(f"n_step must be >= 1, got {n_step}")
+        raise ConfigError(f"n_step must be >= 1, got {n_step}")
     out = np.zeros(2**spec.n, dtype=complex)
     for states, _, evolved in _strang_sectors(spec, _state_array(spec, v),
                                               [t], [n_step]):
@@ -137,7 +111,7 @@ def exact_evolve(spec: CouplingSpec, v: StateVector, t: float) -> StateVector:
 
 
 def amplitude_rows(specs, psi: StateVector, times,
-                   schedule: TrotterSchedule | None = None) -> np.ndarray:
+                   schedule: tuple[int, ...] | None = None) -> np.ndarray:
     """A(t_l) = <psi|U(t_l)|psi>, a row per spec of a batch sharing n and a
     column per t_l; |A| <= 1.  Without a schedule, A(t) = sum_j w_j
     e^{-i θ_j t} from one spectral measure of psi per sample, certified on
@@ -146,13 +120,15 @@ def amplitude_rows(specs, psi: StateVector, times,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if schedule is not None:
         if len(schedule) != len(times):
-            raise ValueError(f"schedule has {len(schedule)} step counts for "
-                             f"{len(times)} times")
+            raise ConfigError(f"schedule has {len(schedule)} step counts for "
+                              f"{len(times)} times")
+        if min(schedule) < 1:
+            raise ConfigError(f"all step counts must be >= 1, got {schedule}")
         vec = _state_array(specs[0], psi)
         # einsum: a threaded BLAS call this small stalls on busy cores
         return np.array([sum(np.einsum("d,dl->l", np.conj(c), evolved)
                              for _, c, evolved in _strang_sectors(
-                                 spec, vec, times, schedule.steps))
+                                 spec, vec, times, schedule))
                          for spec in specs])
 
     def phases(nodes):
@@ -163,6 +139,6 @@ def amplitude_rows(specs, psi: StateVector, times,
 
 
 def amplitudes(spec: CouplingSpec, psi: StateVector, times,
-               schedule: TrotterSchedule | None = None) -> np.ndarray:
+               schedule: tuple[int, ...] | None = None) -> np.ndarray:
     """A(t_l) = <psi|U(t_l)|psi> of one spec: amplitude_rows' batch of one."""
     return amplitude_rows([spec], psi, times, schedule)[0]

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import TrotterSchedule, amplitude_rows
-from .hamiltonians import CouplingSpec, spectral_bound
+from .evolution import amplitude_rows
+from .hamiltonians import ConfigError, CouplingSpec, spectral_bound
 from .rng import ROLE_SHOTS, substreams
 from .states import StateVector
 
@@ -60,25 +60,21 @@ OVERLAP_NAMES = ("w_plus", "w_minus", "w_plus_i", "w_minus_i")
 CIRCUIT_COS, CIRCUIT_SIN = 0, 1
 
 
-class ConfigError(ValueError):
-    """Feature-map configuration is inconsistent with its inputs."""
-
-
 @dataclass(frozen=True)
 class FeatureMapConfig:
     """Hyperparameters of the feature map.
 
     n_shot = 0 selects the infinite-shot limit (exact expectation values,
     no sampling); the shot backends sample for n_shot >= 1, and the exact
-    backend needs n_shot = 0.  A schedule, when present, must provide one
-    step count per time t_0..t_K.
+    backend needs n_shot = 0.  A schedule, when present, gives the Trotter
+    step count (>= 1) of each time t_0..t_K.
     """
 
     K: int
     C: float
     backend: str = "exact"
     n_shot: int = 0
-    schedule: TrotterSchedule | None = None
+    schedule: tuple[int, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -95,10 +91,13 @@ class FeatureMapConfig:
                 f"backend 'exact' draws no shots, got n_shot = {self.n_shot}; "
                 "choose a shot backend or n_shot = 0"
             )
-        if self.schedule is not None and len(self.schedule) != self.K + 1:
-            raise ConfigError(
-                f"schedule has {len(self.schedule)} entries, need K+1 = {self.K + 1}"
-            )
+        if self.schedule is not None:
+            if len(self.schedule) != self.K + 1:
+                raise ConfigError(f"schedule has {len(self.schedule)} entries, "
+                                  f"need K+1 = {self.K + 1}")
+            if min(self.schedule) < 1:
+                raise ConfigError("all step counts must be >= 1, got "
+                                  f"{self.schedule}")
 
     def times(self) -> np.ndarray:
         """Feature times t_l = lπ/C for l = 0..K."""
@@ -152,7 +151,7 @@ def estimate(amps: np.ndarray, cfg: FeatureMapConfig, samples,
         return amps
     if cfg.backend == "hadamard-shots":
         if np.any(np.abs(amps) > 1.0 + 1e-9):
-            raise ValueError(f"|A| = {np.max(np.abs(amps))} exceeds 1")
+            raise ConfigError(f"|A| = {np.max(np.abs(amps))} exceeds 1")
         p = np.stack([amps.real, amps.imag], axis=-1)  # P(+1), in place:
         p += 1.0  # the batch's temporaries dominate the stage's memory
         p /= 2.0
@@ -214,7 +213,7 @@ def _shot_counts(p: np.ndarray, n_shot: int, seed: int, samples) -> np.ndarray:
     shape samples.shape + (L, circuits): entry (..., l, circuit) draws from
     the substream (seed, ROLE_SHOTS, sample, l, circuit)."""
     if n_shot < 1:
-        raise ValueError(f"n_shot must be >= 1, got {n_shot}")
+        raise ConfigError(f"n_shot must be >= 1, got {n_shot}")
     times, circuits = p.shape[-2:]
     keys = ((ROLE_SHOTS, s, l, c)
             for s in np.broadcast_to(samples, p.shape[:-2]).ravel().tolist()

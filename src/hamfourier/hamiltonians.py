@@ -22,7 +22,7 @@ import numpy as np
 
 #: Largest sector block either oracle handles (covers n=16 at half
 #: filling): the dense one holds d×d matrices, the Lanczos one a d-vector
-#: per Krylov step.  Exceeding it raises ResourceLimitError.
+#: per Krylov step.  Exceeding it raises ConfigError.
 SECTOR_DIM_CAP = 20_000
 
 #: Lanczos certificate: the depth grows by LANCZOS_STEP until the requested
@@ -38,12 +38,9 @@ LANCZOS_MIN_DIM = 100
 EIGH_STACK_ENTRIES = 2**15
 
 
-class DimensionError(ValueError):
-    """Qubit count / vector length is invalid for the requested operation."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A sector block exceeds the configured dimension cap."""
+class ConfigError(ValueError):
+    """The package's refusal of an input: a qubit count, vector length,
+    sector size, setting or file content it cannot work with."""
 
 
 @dataclass(frozen=True)
@@ -60,14 +57,14 @@ class CouplingSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise DimensionError(f"need at least 2 qubits, got n={self.n}")
+            raise ConfigError(f"need at least 2 qubits, got n={self.n}")
         if len(self.couplings) != self.n - 1:
-            raise DimensionError(
+            raise ConfigError(
                 f"expected {self.n - 1} couplings for n={self.n}, "
                 f"got {len(self.couplings)}"
             )
         if not all(math.isfinite(j) for j in self.couplings):
-            raise ValueError("couplings must be finite")
+            raise ConfigError("couplings must be finite")
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ def sample_couplings(n: int, rng: np.random.Generator) -> CouplingSpec:
     rejected and redrawn so the normalization never divides by zero.
     """
     if n < 2:
-        raise DimensionError(f"need at least 2 qubits, got n={n}")
+        raise ConfigError(f"need at least 2 qubits, got n={n}")
     while True:
         raw = rng.uniform(-1.0, 1.0, size=n - 1)
         total = float(np.sum(np.abs(raw)))
@@ -129,7 +126,7 @@ def spectral_bound(spec: CouplingSpec) -> float:
 def _state_array(spec: CouplingSpec, v) -> np.ndarray:
     vec = np.asarray(getattr(v, "amplitudes", v))
     if vec.shape != (2**spec.n,):
-        raise DimensionError(f"state has shape {vec.shape}, expected ({2**spec.n},)")
+        raise ConfigError(f"state has shape {vec.shape}, expected ({2**spec.n},)")
     return vec
 
 
@@ -151,7 +148,7 @@ def _sector_pattern(n: int, magnetization: int):
     every bond on every basis state (shape (n-1, d)), and the (rows, cols,
     bonds) entries of the bond flips |01> <-> |10>."""
     if not 0 <= magnetization <= n:
-        raise DimensionError(f"magnetization {magnetization} outside 0..{n}")
+        raise ConfigError(f"magnetization {magnetization} outside 0..{n}")
     states = np.array(sorted(
         sum(1 << (n - 1 - q) for q in ones)
         for ones in combinations(range(n), magnetization)
@@ -168,8 +165,8 @@ def _sector_pattern(n: int, magnetization: int):
 
 def _check_dim(n: int, magnetization: int) -> None:
     if (dim := math.comb(n, magnetization)) > SECTOR_DIM_CAP:
-        raise ResourceLimitError(f"sector (n={n}, magnetization={magnetization})"
-                                 f" has dimension {dim} > cap {SECTOR_DIM_CAP}")
+        raise ConfigError(f"sector (n={n}, magnetization={magnetization})"
+                          f" has dimension {dim} > cap {SECTOR_DIM_CAP}")
 
 
 def _sector_operator(spec: CouplingSpec, magnetization: int):
@@ -238,7 +235,7 @@ def spectral_measures(specs, v, integrand=None):
     2010), deep enough that integrand(θ) @ weights settles."""
     n = specs[0].n
     if any(spec.n != n for spec in specs):
-        raise DimensionError("a batch of specs must share n")
+        raise ConfigError("a batch of specs must share n")
     vec = _state_array(specs[0], v)
     couplings = np.array([spec.couplings for spec in specs])
     for k in occupied_magnetizations(n, vec):

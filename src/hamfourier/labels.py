@@ -8,7 +8,7 @@ every sector.
 
 Sign convention: the sine-type basis functions carry a minus sign,
 matching the feature quadratures (x_sin,l = Im Tr[e^{-ilπH/C}ρ]
-= -Tr[sin(lπH/C)ρ]).  A fourier_series target built in this basis is
+= -Tr[sin(lπH/C)ρ]).  A fourier target, a finite series in this basis, is
 therefore reproduced exactly by the linear model with weights equal to its
 coefficients.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CouplingSpec, spectral_sum
+from .hamiltonians import ConfigError, CouplingSpec, spectral_sum
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -29,10 +29,6 @@ KINDS = ("exp", "cos", "sin", "fourier", "step")
 #: grid resolution for numeric sup-norm evaluation
 SUP_GRID_POINTS = 10_001
 DOMAIN_SLACK = 1e-9
-
-
-class DomainError(ValueError):
-    """Argument lies outside the declared spectral domain [-C, C]."""
 
 
 def _fourier_design(x: np.ndarray, n_coeffs: int, c_bound: float) -> np.ndarray:
@@ -62,15 +58,18 @@ class FunctionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"kind {self.kind!r} not in {KINDS}")
+            raise ConfigError(f"kind {self.kind!r} not in {KINDS}")
         if self.C <= 0:
-            raise ValueError(f"C must be positive, got {self.C}")
+            raise ConfigError(f"C must be positive, got {self.C}")
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs",
+                               tuple(float(c) for c in self.coeffs))
         if self.kind == "fourier":
             if not self.coeffs:
-                raise ValueError("fourier kind needs coefficients")
+                raise ConfigError("fourier kind needs coeffs")
             if len(self.coeffs) % 2 == 0:
-                raise ValueError("fourier needs an odd number of coefficients "
-                                 "(cos_0, sin_1, cos_1, ...)")
+                raise ConfigError("fourier needs an odd number of coefficients "
+                                  "(cos_0, sin_1, cos_1, ...)")
         object.__setattr__(self, "sup_norm", self._sup_norm())
 
     def _sup_norm(self) -> float:
@@ -90,38 +89,11 @@ class FunctionSpec:
         return eval_f(self, x)
 
 
-def exp_neg_beta(beta: float, c_bound: float) -> FunctionSpec:
-    """f(x) = e^{-βx} (the demo target with β = 1)."""
-    return FunctionSpec(kind="exp", C=c_bound, param=beta)
-
-
-def cosine(t: float, c_bound: float) -> FunctionSpec:
-    """f(x) = cos(t·x); at t = lπ/C its label equals the feature x_cos,l."""
-    return FunctionSpec(kind="cos", C=c_bound, param=t)
-
-
-def sine(t: float, c_bound: float) -> FunctionSpec:
-    """f(x) = -sin(t·x); at t = lπ/C its label equals the feature x_sin,l."""
-    return FunctionSpec(kind="sin", C=c_bound, param=t)
-
-
-def fourier_series(coeffs, c_bound: float) -> FunctionSpec:
-    """Finite series in the feature basis; the linear model with w = coeffs
-    reproduces its labels exactly."""
-    return FunctionSpec(kind="fourier", C=c_bound,
-                        coeffs=tuple(float(c) for c in coeffs))
-
-
-def step(threshold: float, c_bound: float) -> FunctionSpec:
-    """f(x) = 1 for x >= threshold, else 0 (a deliberately non-smooth target)."""
-    return FunctionSpec(kind="step", C=c_bound, param=threshold)
-
-
 def eval_f(fspec: FunctionSpec, x):
     """Pointwise f(x); accepts scalars or arrays, errors outside [-C, C]."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > fspec.C + DOMAIN_SLACK):
-        raise DomainError(
+        raise ConfigError(
             f"argument outside [-{fspec.C}, {fspec.C}]: "
             f"max |x| = {np.max(np.abs(arr))}"
         )

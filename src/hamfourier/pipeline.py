@@ -24,9 +24,9 @@ import numpy as np
 
 from . import features as ft
 from . import labels as lb
-from .evolution import TrotterSchedule, amplitude_rows
-from .features import ConfigError
+from .evolution import amplitude_rows
 from .hamiltonians import (
+    ConfigError,
     CouplingSpec,
     coupling_from_record,
     coupling_record,
@@ -46,6 +46,9 @@ from .states import StateVector, basis_state, domain_wall
 
 SEED_ENV_VAR = "HAMFOURIER_SEED"
 
+#: the regression fits ExperimentConfig.method selects
+METHODS = ("ols", "ridge", "constrained")
+
 #: alpha grid scanned when method=ridge and no alpha is given
 RIDGE_ALPHA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0)
 
@@ -53,10 +56,6 @@ RIDGE_ALPHA_GRID = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0)
 SCHEDULE_12Q = "1,1,1,1,1,2,2,2,2,3,3,3"
 
 DEFAULT_SEED = 7
-
-
-class UnknownRowError(ValueError):
-    """Requested reproduction row is not a desk-scale target."""
 
 
 @dataclass(frozen=True)
@@ -87,35 +86,21 @@ class ExperimentConfig:
             raise ConfigError(f"num must be >= 0, got {self.num}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.method not in ("ols", "ridge", "constrained"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
 
     def function_spec(self) -> lb.FunctionSpec:
-        if self.f_kind == "exp":
-            return lb.exp_neg_beta(self.beta, self.c)
-        if self.f_kind == "cos":
-            return lb.cosine(self.beta, self.c)
-        if self.f_kind == "sin":
-            return lb.sine(self.beta, self.c)
-        if self.f_kind == "fourier":
-            if not self.coeffs:
-                raise ConfigError("f_kind 'fourier' needs coeffs")
-            return lb.fourier_series(self.coeffs, self.c)
-        if self.f_kind == "step":
-            return lb.step(self.beta, self.c)
-        raise ConfigError(f"unknown f_kind {self.f_kind!r}")
+        return lb.FunctionSpec(self.f_kind, self.c, self.beta, self.coeffs)
 
     def feature_map(self) -> ft.FeatureMapConfig:
-        schedule = (TrotterSchedule.parse(self.schedule)
+        schedule = (_parse_list("schedule", self.schedule, int)
                     if self.schedule else None)
         return ft.FeatureMapConfig(K=self.k, C=self.c, backend=self.backend,
                                    n_shot=self.shots, schedule=schedule,
                                    seed=self.seed)
 
     def psi(self) -> StateVector:
-        if self.state == "domain_wall":
-            return domain_wall(self.n)
-        return basis_state(self.n, self.state)
+        return state_from_descriptor(self.n, self.state_descriptor())
 
     def state_descriptor(self):
         if self.state == "domain_wall":
@@ -123,15 +108,13 @@ class ExperimentConfig:
         return {"basis": self.state}
 
     def to_dict(self) -> dict:
-        d = asdict(self)  # field order is the sidecar's key order
-        d["coeffs"] = list(self.coeffs) if self.coeffs is not None else None
-        return d
+        return asdict(self)  # field order is the sidecar's key order
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if d.get("coeffs") is not None:
-            d["coeffs"] = tuple(float(c) for c in d["coeffs"])
+            d["coeffs"] = _parse_list("coeffs", d["coeffs"], float)
         for key in ("split", "c", "beta"):
             if key in d:
                 d[key] = float(d[key])
@@ -139,6 +122,16 @@ class ExperimentConfig:
             if d.get(key) is not None:
                 d[key] = float(d[key])
         return cls(**d)
+
+
+def _parse_list(name: str, value, kind) -> tuple:
+    """A comma-separated string (or a sequence) as a tuple of kind."""
+    try:
+        return tuple(map(kind, value.split(",") if isinstance(value, str)
+                         else value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be comma-separated {kind.__name__}s, "
+                          f"got {value!r}") from None
 
 
 def state_from_descriptor(n: int, descriptor) -> StateVector:
@@ -249,7 +242,7 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
     atomic_write(out_path, "".join(line + "\n" for line in lines))
     provenance = {
         "K": cfg.K, "C": cfg.C, "backend": cfg.backend, "n_shot": cfg.n_shot,
-        "schedule": cfg.schedule.render() if cfg.schedule else None,
+        "schedule": ",".join(map(str, cfg.schedule)) if cfg.schedule else None,
         "seed": cfg.seed,
     }
     atomic_write(sidecar_path(out_path), json_17g(provenance) + "\n")
@@ -307,7 +300,7 @@ def cmd_train_eval(config: ExperimentConfig, features_path, dataset_path,
     x = read_features(features_path)
     y = np.array([rec[2] for rec in read_dataset(dataset_path)])
     if x.shape[0] != len(y):
-        raise ValueError(
+        raise ConfigError(
             f"row mismatch: {x.shape[0]} feature rows vs {len(y)} labels"
         )
     train_idx, test_idx = split_indices(len(y), config.split, config.seed)
@@ -328,7 +321,7 @@ def cmd_scatter(exact_path, noisy_path, out_path) -> Path:
     exact = read_features(exact_path)
     noisy = read_features(noisy_path)
     if exact.shape != noisy.shape:
-        raise ValueError(
+        raise ConfigError(
             f"shape mismatch: {exact.shape} vs {noisy.shape}"
         )
     header = Path(exact_path).read_text().splitlines()[0].split(",")
@@ -404,14 +397,14 @@ def cmd_reproduce(row: str, out_dir, seed: int | None = None,
     """Run one reference protocol end to end by chaining the generate,
     features, and train stages, then check its acceptance thresholds."""
     if row in _LARGE_ROWS:
-        raise UnknownRowError(
+        raise ConfigError(
             f"row {row!r} needs a 32- or 40-qubit register; its half-filling "
             f"sector (C(32,16) ~ 6.0e8 amplitudes, 4.8 GB per real vector) "
             f"exceeds sector-vector memory, so it is not a desk-scale target. "
             f"Supported rows: {sorted(REPRODUCE_ROWS)}"
         )
     if row not in REPRODUCE_ROWS:
-        raise UnknownRowError(
+        raise ConfigError(
             f"unknown row {row!r}; supported rows: {sorted(REPRODUCE_ROWS)}"
         )
     entry = REPRODUCE_ROWS[row]

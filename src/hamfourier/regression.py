@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hamiltonians import ConfigError
+
 NORM_MATCH_RTOL = 1e-8
 MAX_BISECT_ITERS = 500
 
@@ -30,11 +32,11 @@ class DesignMatrix:
         x = np.atleast_2d(np.asarray(self.X, dtype=float))
         t = np.asarray(self.y, dtype=float).ravel()
         if x.shape[0] != t.shape[0]:
-            raise ValueError(f"{x.shape[0]} rows vs {t.shape[0]} targets")
+            raise ConfigError(f"{x.shape[0]} rows vs {t.shape[0]} targets")
         if x.shape[0] == 0:
-            raise ValueError("empty design matrix")
+            raise ConfigError("empty design matrix")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-            raise ValueError("non-finite entries")
+            raise ConfigError("non-finite entries")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "y", t)
 
@@ -107,7 +109,7 @@ def _ridge_path(data: DesignMatrix):
 def fit_ridge(data: DesignMatrix, alpha: float) -> RegressionModel:
     """Minimizer of ||y - Xw||² + α||w||²; α = 0 reduces to OLS."""
     if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
     weights, _ = _ridge_path(data)
     return RegressionModel(weights=weights(alpha), method="ridge")
 
@@ -115,7 +117,7 @@ def fit_ridge(data: DesignMatrix, alpha: float) -> RegressionModel:
 def fit_constrained(data: DesignMatrix, w_bound: float) -> RegressionModel:
     """Empirical-loss minimizer under ||w||₂ <= w_bound."""
     if w_bound <= 0:
-        raise ValueError(f"norm budget must be positive, got {w_bound}")
+        raise ConfigError(f"norm budget must be positive, got {w_bound}")
     weights, norm = _ridge_path(data)
     if norm(0.0) <= w_bound:
         return RegressionModel(weights=weights(0.0), norm_budget=w_bound,

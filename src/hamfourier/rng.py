@@ -14,6 +14,8 @@ import operator
 
 import numpy as np
 
+from .hamiltonians import ConfigError
+
 # role tags for substream derivation
 ROLE_COUPLINGS = 1
 ROLE_SPLIT = 2
@@ -76,7 +78,7 @@ def substreams(master_seed: int, keys):
     advancing; it has no seed sequence to spawn from."""
     seed = operator.index(master_seed)
     if seed < 0:
-        raise ValueError("master seed must be non-negative")
+        raise ConfigError("master seed must be non-negative")
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     bitgen = np.random.PCG64(0)  # placeholder seed: each key sets the state
     gen, state = np.random.Generator(bitgen), bitgen.state
@@ -85,7 +87,7 @@ def substreams(master_seed: int, keys):
         chunk = np.array(chunk, dtype=np.int64)
         if chunk.ndim != 2 or chunk.size and not (
                 0 <= chunk.min() <= chunk.max() <= _M32):
-            raise ValueError("keys must be sequences of indices in [0, 2**32)")
+            raise ConfigError("keys must be sequences of indices in [0, 2**32)")
         width = len(words) + chunk.shape[1]
         entropy = np.zeros((len(chunk), max(4, width)), dtype=np.uint32)
         entropy[:, :len(words)] = words  # little-endian words, as numpy's;

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import CouplingSpec, DimensionError
+from .hamiltonians import ConfigError
 
 NORM_TOL = 1e-10
 
@@ -24,24 +24,24 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n,):
-            raise DimensionError(
+            raise ConfigError(
                 f"amplitudes shape {amps.shape} != ({2**self.n},)"
             )
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("state is not normalized")
+            raise ConfigError("state is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
 
 def _bits_to_index(bitstring: str) -> int:
     if set(bitstring) - {"0", "1"}:
-        raise ValueError(f"bitstring {bitstring!r} has non-binary characters")
+        raise ConfigError(f"bitstring {bitstring!r} has non-binary characters")
     return int(bitstring, 2)
 
 
 def basis_state(n: int, bitstring: str) -> StateVector:
     """Unit vector on one computational basis element."""
     if len(bitstring) != n:
-        raise DimensionError(
+        raise ConfigError(
             f"bitstring {bitstring!r} has {len(bitstring)} bits, expected {n}"
         )
     amps = np.zeros(2**n, dtype=complex)
@@ -52,6 +52,6 @@ def basis_state(n: int, bitstring: str) -> StateVector:
 def domain_wall(n: int) -> StateVector:
     """The fixed product state |0>^{n/4} |1>^{n/2} |0>^{n/4} (popcount n/2)."""
     if n % 4 != 0:
-        raise DimensionError(f"domain wall needs n divisible by 4, got {n}")
+        raise ConfigError(f"domain wall needs n divisible by 4, got {n}")
     return basis_state(n, "0" * (n // 4) + "1" * (n // 2) + "0" * (n // 4))
 

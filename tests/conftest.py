@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hamfourier.hamiltonians import (
+    ConfigError,
     CouplingSpec,
-    DimensionError,
     occupied_magnetizations,
     sector_eigensystem,
     sector_states,
@@ -50,7 +50,7 @@ def dense_hamiltonian(spec: CouplingSpec) -> np.ndarray:
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b> with conjugation on a."""
     if a.n != b.n:
-        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
+        raise ConfigError(f"qubit counts differ: {a.n} vs {b.n}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 

@@ -22,7 +22,7 @@ from hamfourier.features import (
     reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import apply_hamiltonian, sample_couplings
-from hamfourier.labels import fourier_series, label, label_rows
+from hamfourier.labels import FunctionSpec, label, label_rows
 from hamfourier.pipeline import cmd_reproduce
 from hamfourier.regression import DesignMatrix, fit_constrained
 from hamfourier.rng import substream, substreams
@@ -125,7 +125,7 @@ def test_criterion_6_expected_loss_bound():
         coeff_rng = substream(master, 2, e)
         c = coeff_rng.normal(size=2 * k_order + 1)
         c *= w_budget / np.linalg.norm(c)
-        fspec = fourier_series(c, 3.0)
+        fspec = FunctionSpec("fourier", 3.0, coeffs=c)
         keys = [(1, e, i) for i in range(n_data + n_eval)]
         specs = [sample_couplings(6, g) for g in substreams(master, keys)]
         xs, ys = feature_rows(specs, psi, cfg), label_rows(specs, psi, fspec)
@@ -164,7 +164,7 @@ def test_criterion_8_exact_expressibility():
     k_order, w_budget = 5, 1.3
     c = rng.normal(size=2 * k_order + 1)
     c *= w_budget / np.linalg.norm(c)
-    fspec = fourier_series(c, 3.0)
+    fspec = FunctionSpec("fourier", 3.0, coeffs=c)
     psi = basis_state(6, "000111")
     cfg = FeatureMapConfig(K=k_order, C=3.0)
     xs, ys = [], []

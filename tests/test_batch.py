@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import hamfourier.hamiltonians as hm
-from hamfourier.evolution import TrotterSchedule, amplitude_rows
+from hamfourier.evolution import amplitude_rows
 from hamfourier.features import FeatureMapConfig, feature_rows, feature_vector
-from hamfourier.labels import exp_neg_beta, fourier_series, label, label_rows, step
+from hamfourier.labels import FunctionSpec, label, label_rows
 from hamfourier.pipeline import ExperimentConfig, cmd_features, json_17g
 from hamfourier.states import basis_state, domain_wall
 
@@ -65,7 +65,7 @@ CONFIGS = {  # every backend with and without a schedule
         K=K, C=C, backend=backend, n_shot=0 if backend == "exact" else 50,
         seed=11, schedule=schedule)
     for backend in ("exact", "hadamard-shots", "overlap-shots")
-    for schedule in (None, TrotterSchedule((1, 2, 1, 3)))
+    for schedule in (None, (1, 2, 1, 3))
 }
 
 
@@ -89,10 +89,10 @@ def test_feature_rows_equal_single_samples(n, rng, small_stacks):
 def test_label_rows_equal_single_samples(n, rng, small_stacks):
     specs = [random_spec(n, rng) for _ in range(2 * STACK + 3)]
     coeffs = rng.normal(size=2 * K + 1)
-    targets = [exp_neg_beta(1.0, C),
-               fourier_series(coeffs / np.linalg.norm(coeffs), C)]
+    targets = [FunctionSpec("exp", C, 1.0), FunctionSpec(
+        "fourier", C, coeffs=coeffs / np.linalg.norm(coeffs))]
     if n < 10:  # a step is dense in every sector; n = 10 adds Lanczos ones
-        targets.append(step(0.1, C))
+        targets.append(FunctionSpec("step", C, 0.1))
     for name, psi in mixed_states(n, rng).items():
         small_stacks(largest_dense_dim(n, psi))
         for fspec in targets:
@@ -113,12 +113,13 @@ def test_default_stack_boundaries(rng):
     specs = [random_spec(8, rng) for _ in range(2 * stack + 3)]
     singles = np.array([feature_vector(s, psi, cfg, b)
                         for b, s in enumerate(specs)])
-    labels = np.array([label(s, psi, step(0.1, C)) for s in specs])
+    step = FunctionSpec("step", C, 0.1)
+    labels = np.array([label(s, psi, step) for s in specs])
     for size in batch_sizes(stack):
         np.testing.assert_array_equal(feature_rows(specs[:size], psi, cfg),
                                       singles[:size])
         np.testing.assert_array_equal(
-            label_rows(specs[:size], psi, step(0.1, C)), labels[:size])
+            label_rows(specs[:size], psi, step), labels[:size])
 
 
 @pytest.mark.parametrize("n", [6, 10])
@@ -158,6 +159,6 @@ def test_dataset_mixing_states(tmp_path, rng):
 
 
 def test_batch_must_share_n(rng):
-    with pytest.raises(hm.DimensionError):
+    with pytest.raises(hm.ConfigError, match="must share n"):
         label_rows([random_spec(4, rng), random_spec(5, rng)], domain_wall(4),
-                   exp_neg_beta(1.0, C))
+                   FunctionSpec("exp", C, 1.0))

@@ -3,17 +3,18 @@ import pytest
 from scipy.linalg import expm
 
 from hamfourier.evolution import (
-    TrotterSchedule,
     amplitudes,
     exact_evolve,
     heisenberg_gate,
     trotter_evolve,
 )
+from hamfourier.features import FeatureMapConfig
 from hamfourier.hamiltonians import (
+    ConfigError,
     CouplingSpec,
-    ResourceLimitError,
     apply_hamiltonian,
 )
+from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
 from hamfourier.states import (
     StateVector,
     basis_state,
@@ -150,10 +151,10 @@ class TestStrangKernel:
         spec = random_spec(n, rng)
         psi = multi_sector_state(n, rng)
         times = np.array([0.0, 2.3, 0.9, 3.7])
-        schedule = TrotterSchedule(steps=(3, 1, 2, 1))
+        schedule = (3, 1, 2, 1)
         oracles = [strang_oracle(spec, t, s)
-                   for t, s in zip(times, schedule.steps)]
-        for t, s, u in zip(times, schedule.steps, oracles):
+                   for t, s in zip(times, schedule)]
+        for t, s, u in zip(times, schedule, oracles):
             np.testing.assert_allclose(
                 trotter_evolve(spec, psi, t, s).amplitudes,
                 u @ psi.amplitudes, rtol=0, atol=1e-13)
@@ -222,7 +223,7 @@ class TestExactEvolve:
     def test_sector_cap_propagates(self, rng):
         spec = random_spec(18, rng)
         v = random_sector_state(18, 9, rng)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ConfigError, match="> cap"):
             exact_evolve(spec, v, 1.0)
 
 
@@ -258,28 +259,42 @@ class TestAmplitude:
         spec = random_spec(4, rng)
         psi = random_sector_state(4, 2, rng)
         times = np.array([0.0, 0.9, 2.5])
-        schedule = TrotterSchedule.parse("1,2,3")
+        schedule = (1, 2, 3)
         expected = [inner(psi, trotter_evolve(spec, psi, t, s))
-                    for t, s in zip(times, schedule.steps)]
+                    for t, s in zip(times, schedule)]
         np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
                                    expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n_times, n_steps", [(3, 5), (4, 2)])
     def test_schedule_length_must_match_times(self, rng, n_times, n_steps):
         spec = random_spec(4, rng)
-        schedule = TrotterSchedule(steps=(1,) * n_steps)
-        with pytest.raises(ValueError, match=f"{n_steps} .* {n_times} times"):
+        schedule = (1,) * n_steps
+        with pytest.raises(ConfigError, match=f"{n_steps} .* {n_times} times"):
             amplitudes(spec, domain_wall(4), np.linspace(0, 2, n_times),
                        schedule)
 
+    @pytest.mark.parametrize("schedule", [(1, 0, 1), (1, 1, -2)])
+    def test_schedule_refuses_nonpositive_steps(self, rng, schedule):
+        spec = random_spec(4, rng)
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            amplitudes(spec, domain_wall(4), [0.0, 1.0, 2.0], schedule)
+
 
 class TestTrotterSchedule:
+    # the schedule is parsed once, by ExperimentConfig.feature_map, into the
+    # tuple FeatureMapConfig checks
     def test_parse_render_roundtrip(self):
-        sched = TrotterSchedule.parse("1,1,1,1,1,2,2,2,2,3,3,3")
-        assert len(sched) == 12
-        assert sched[5] == 2
-        assert sched.render() == "1,1,1,1,1,2,2,2,2,3,3,3"
+        sched = ExperimentConfig(k=11, schedule=SCHEDULE_12Q).feature_map(
+        ).schedule
+        assert sched == (1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3)
+        assert ",".join(map(str, sched)) == "1,1,1,1,1,2,2,2,2,3,3,3"
 
     def test_rejects_nonpositive_steps(self):
-        with pytest.raises(ValueError):
-            TrotterSchedule(steps=(1, 0, 2))
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            FeatureMapConfig(K=2, C=3.0, schedule=(1, 0, 2))
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            ExperimentConfig(k=2, schedule="1,0,2").feature_map()
+
+    def test_rejects_non_integer_token(self):
+        with pytest.raises(ConfigError, match="comma-separated ints"):
+            ExperimentConfig(k=2, schedule="1,x,2").feature_map()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hamfourier.evolution import TrotterSchedule, amplitudes, exact_evolve
+from hamfourier.evolution import amplitudes, exact_evolve
 from hamfourier.features import (
     OVERLAP_NAMES,
     ConfigError,
@@ -55,8 +55,8 @@ class TestFeatureMapConfig:
                                    [0, np.pi / 3, 2 * np.pi / 3, np.pi])
 
     def test_schedule_length_must_match(self):
-        with pytest.raises(ConfigError):
-            FeatureMapConfig(K=3, C=3.0, schedule=TrotterSchedule.parse("1,1"))
+        with pytest.raises(ConfigError, match="need K\\+1 = 4"):
+            FeatureMapConfig(K=3, C=3.0, schedule=(1, 1))
 
     @pytest.mark.parametrize("kwargs", [
         dict(K=-1, C=3.0),
@@ -269,7 +269,7 @@ class TestNoisyFeatures:
         spec = random_spec(12, rng)
         cfg = FeatureMapConfig(
             K=11, C=3.0, backend="overlap-shots", n_shot=256,
-            schedule=TrotterSchedule.parse("1,1,1,1,1,2,2,2,2,3,3,3"), seed=5)
+            schedule=(1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3), seed=5)
         x = feature_vector(spec, domain_wall(12), cfg)
         assert x.shape == (23,)
         assert np.all(np.isfinite(x))

@@ -7,8 +7,7 @@ import pytest
 from hamfourier.hamiltonians import (
     SECTOR_DIM_CAP,
     CouplingSpec,
-    DimensionError,
-    ResourceLimitError,
+    ConfigError,
     apply_hamiltonian,
     coupling_from_record,
     coupling_record,
@@ -26,11 +25,11 @@ from conftest import dense_hamiltonian, random_dense_state, random_sector_state,
 
 class TestCouplingSpec:
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="expected 3 couplings"):
             CouplingSpec(n=4, couplings=(0.5, 0.5))
 
     def test_too_few_qubits_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="need at least 2 qubits"):
             CouplingSpec(n=1, couplings=())
 
     def test_non_finite_rejected(self):
@@ -60,7 +59,7 @@ class TestSampleCouplings:
         assert a == b
 
     def test_invalid_dimension(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="need at least 2 qubits"):
             sample_couplings(1, rng)
 
     def test_all_zero_draw_redrawn(self):
@@ -136,7 +135,7 @@ class TestApplyHamiltonian:
         assert np.all(out == 0)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="state has shape"):
             apply_hamiltonian(random_spec(3, rng), np.zeros(4, dtype=complex))
 
     def test_magnetization_conserved_exactly(self, rng):
@@ -162,7 +161,7 @@ class TestSectorBasis:
         assert all(int(s).bit_count() == k for s in states)
 
     def test_invalid_magnetization(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="magnetization 5 outside"):
             sector_states(4, 5)
 
 
@@ -218,7 +217,7 @@ class TestSectorEigensystem:
     def test_dimension_cap(self, rng):
         spec = random_spec(18, rng)
         assert math.comb(18, 9) > SECTOR_DIM_CAP
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ConfigError, match="> cap"):
             sector_eigensystem(spec, 9)
 
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from hamfourier.cli import main
+from hamfourier.hamiltonians import ConfigError
 from hamfourier.pipeline import (
     SCHEDULE_12Q,
     SEED_ENV_VAR,
     ExperimentConfig,
-    UnknownRowError,
     cmd_features,
     cmd_generate,
     cmd_reproduce,
@@ -134,6 +134,9 @@ class TestFeatureStage:
         meta = json.loads(sidecar_path(out).read_text())
         assert meta == {"K": 3, "C": 3.0, "backend": "exact", "n_shot": 0,
                         "schedule": None, "seed": 3}
+        cmd_features(replace(SMALL, schedule="1,2,2,3"), small_dataset, out)
+        meta = json.loads(sidecar_path(out).read_text())
+        assert meta["schedule"] == "1,2,2,3"
 
     def test_trotterized_noiseless_close_to_exact(self, tmp_path, small_dataset):
         from dataclasses import replace
@@ -391,12 +394,12 @@ class TestScatter:
 
 class TestReproduce:
     def test_unknown_row(self, tmp_path):
-        with pytest.raises(UnknownRowError, match="exact12"):
+        with pytest.raises(ConfigError, match="exact12"):
             cmd_reproduce("exact13", tmp_path)
 
     @pytest.mark.parametrize("row", ["mps32", "qpu40", "trotter32"])
     def test_large_rows_rejected_with_explanation(self, tmp_path, row):
-        with pytest.raises(UnknownRowError, match="desk-scale"):
+        with pytest.raises(ConfigError, match="desk-scale"):
             cmd_reproduce(row, tmp_path)
 
     def test_reproduce_equals_chained_stages(self, tmp_path):
@@ -483,6 +486,18 @@ class TestCli:
         assert json.loads(sidecar_path(out_a).read_text())["seed"] == 3
         assert json.loads(sidecar_path(out_b).read_text())["seed"] == 4
 
+    def test_config_file_flag_spelling_wins(self, tmp_path):
+        # a file may spell a knob as the flag or as the field; unknown keys
+        # are ignored
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(
+            {"n": 4, "num": 3, "f": "cos", "f_kind": "sin", "bogus": 1,
+             "nstep_schedule": "1,2,2,3", "schedule": "9,9,9,9"}))
+        out = tmp_path / "a.jsonl"
+        main(["generate", "--config", str(config_file), "--out", str(out)])
+        back = json.loads(sidecar_path(out).read_text())
+        assert (back["f_kind"], back["schedule"]) == ("cos", "1,2,2,3")
+
     def test_reproduce_rejects_large_rows(self, tmp_path, capsys):
         rc = main(["reproduce", "--row", "qpu32", "--out", str(tmp_path)])
         assert rc == 2
@@ -508,24 +523,57 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and message in err
 
+    SIZE = ["--n", "4", "--num", "5", "--k", "3"]
+    GENERATE = ["generate", *SIZE, "--out", "{tmp}/g.jsonl"]
+    FEATURES = ["features", *SIZE, "--in", "{data}", "--out", "{tmp}/f2.csv"]
+    TRAIN = ["train", *SIZE, "--out", "{tmp}/run"]
+    BOUND = ["bound", "--k", "3", "--w-bound", "1", "--f-inf", "1",
+             "--num", "5"]
+
     @pytest.mark.parametrize("argv, message", [
-        (["generate", "--split", "2"], "split must lie in (0, 1)"),
-        (["generate", "--seed", "-1"], "seed must be >= 0"),
-        (["generate", "--f", "fourier"], "needs coeffs"),
-        (["train", "--method", "constrained"], "needs w_bound"),
-        (["scatter", "--shots", "0"], "needs shots >= 1"),
+        (GENERATE + ["--split", "2"], "split must lie in (0, 1)"),
+        (GENERATE + ["--seed", "-1"], "seed must be >= 0"),
+        (GENERATE + ["--f", "fourier"], "needs coeffs"),
+        (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
+                  "constrained"], "needs w_bound"),
+        (["scatter", *SIZE, "--in", "{data}", "--out", "{tmp}/s.csv",
+          "--shots", "0"], "needs shots >= 1"),
+        (FEATURES + ["--nstep-schedule", "0,1,1,1"], "must be >= 1"),
+        (FEATURES + ["--nstep-schedule", "1,x,1,1"], "comma-separated ints"),
+        (GENERATE + ["--f", "fourier", "--coeffs", "1,2"],
+         "odd number of coefficients"),
+        (GENERATE + ["--f", "fourier", "--coeffs", "a,b,c"],
+         "comma-separated floats"),
+        (GENERATE + ["--c", "0"], "C must be positive"),
+        (GENERATE + ["--state", "01x1"], "non-binary characters"),
+        (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
+                  "ridge", "--alpha", "-1"], "alpha must be >= 0"),
+        (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
+                  "constrained", "--w-bound", "-1"],
+         "norm budget must be positive"),
+        (TRAIN + ["--in", "{data7}", "--features", "{feats5}"],
+         "row mismatch: 5 feature rows vs 7 labels"),
+        (TRAIN + ["--in", "{data1}", "--features", "{feats1}"],
+         "empty design matrix"),
+        (["scatter", "--exact", "{feats}", "--noisy", "{feats_k2}", "--out",
+          "{tmp}/s.csv"], "shape mismatch"),
+        (BOUND + ["--delta", "2"], "delta must lie in (0, 1)"),
+        (BOUND + ["--delta", "0.05", "--shot-eta", "0"],
+         "eta must be positive"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
-        feats = tmp_path / "f.csv"
-        cmd_features(SMALL, small_dataset, feats)
-        paths = {"generate": ["--out", str(tmp_path / "g.jsonl")],
-                 "train": ["--in", str(small_dataset), "--features", str(feats),
-                           "--out", str(tmp_path / "run")],
-                 "scatter": ["--in", str(small_dataset), "--out",
-                             str(tmp_path / "s.csv")]}
-        rc = main([*argv, "--n", "4", "--num", "5", "--k", "3",
-                   *paths[argv[0]]])
+        files = {"tmp": tmp_path, "data": small_dataset,
+                 "feats": tmp_path / "f.csv", "feats_k2": tmp_path / "fk2.csv"}
+        cmd_features(SMALL, small_dataset, files["feats"])
+        cmd_features(replace(SMALL, k=2), small_dataset, files["feats_k2"])
+        records = small_dataset.read_text().splitlines(keepends=True)
+        rows = files["feats"].read_text().splitlines(keepends=True)
+        for name, text in (("data7", records[:7]), ("feats5", rows[:6]),
+                           ("data1", records[:1]), ("feats1", rows[:2])):
+            files[name] = tmp_path / name
+            files[name].write_text("".join(text))
+        rc = main([arg.format(**files) for arg in argv])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and message in err

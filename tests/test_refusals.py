@@ -1,0 +1,27 @@
+"""The package refuses its inputs with one exception type, ConfigError."""
+
+import ast
+from pathlib import Path
+
+import hamfourier
+
+SOURCES = sorted(Path(hamfourier.__file__).parent.glob("*.py"))
+
+
+def _base_name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", "")
+
+
+def test_config_error_is_the_only_refusal_type():
+    # the ridge bisection's RuntimeError and json_17g's TypeError are not
+    # input refusals; a bare ValueError or a new error class would be
+    defined = []
+    for path in SOURCES:
+        text = path.read_text()
+        assert "raise ValueError(" not in text, path.name
+        defined += [(path.name, node.name) for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.ClassDef) and any(
+                        _base_name(b).endswith(("Error", "Exception"))
+                        for b in node.bases)]
+    assert defined == [("hamiltonians.py", "ConfigError")]

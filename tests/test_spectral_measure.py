@@ -19,12 +19,12 @@ from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
     LANCZOS_TOL,
-    ResourceLimitError,
+    ConfigError,
     sector_eigensystem,
     sector_states,
     spectral_measures,
 )
-from hamfourier.labels import cosine, eval_f, exp_neg_beta, fourier_series, label, sine, step
+from hamfourier.labels import FunctionSpec, eval_f, label
 from hamfourier.states import StateVector, basis_state, domain_wall
 
 from conftest import dense_measure, random_sector_state, random_spec, superpose
@@ -54,8 +54,9 @@ def sweep_states(n: int, rng):
 
 def targets(rng):
     coeffs = rng.normal(size=2 * 4 + 1)
-    return [exp_neg_beta(1.0, C), cosine(2.3, C), sine(1.7, C),
-            fourier_series(coeffs / np.linalg.norm(coeffs), C)]
+    return [FunctionSpec("exp", C, 1.0), FunctionSpec("cos", C, 2.3),
+            FunctionSpec("sin", C, 1.7),
+            FunctionSpec("fourier", C, coeffs=coeffs / np.linalg.norm(coeffs))]
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -122,7 +123,7 @@ def test_step_label_is_dense_bit_for_bit(n, rng):
     spec = random_spec(n, rng)
     for psi in sweep_states(n, rng).values():
         for threshold in (-0.4, 0.1, 0.9):
-            fspec = step(threshold, C)
+            fspec = FunctionSpec("step", C, threshold)
             dense = float(sum(np.sum(p * eval_f(fspec, evals))
                               for evals, p in dense_measure(spec, psi)))
             assert label(spec, psi, fspec) == dense
@@ -137,5 +138,5 @@ def test_sector_pattern_is_cached_and_read_only():
 def test_lanczos_respects_sector_cap(rng):
     spec = random_spec(18, rng)
     psi = random_sector_state(18, 9, rng)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ConfigError, match="> cap"):
         amplitudes(spec, psi, TIMES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamfourier.features import overlap_reference
-from hamfourier.hamiltonians import DimensionError, apply_hamiltonian
+from hamfourier.hamiltonians import ConfigError, apply_hamiltonian
 from hamfourier.states import (
     StateVector,
     basis_state,
@@ -32,7 +32,7 @@ class TestBasisState:
         assert basis_state(3, "100").amplitudes[4] == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="has 2 bits, expected 3"):
             basis_state(3, "01")
 
     def test_non_binary(self):
@@ -53,7 +53,7 @@ class TestDomainWall:
 
     @pytest.mark.parametrize("n", [2, 6, 10])
     def test_rejects_n_not_multiple_of_four(self, n):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="divisible by 4"):
             domain_wall(n)
 
     @pytest.mark.parametrize("n", [4, 8, 12])
@@ -74,7 +74,7 @@ class TestInner:
         assert inner(a, b) == pytest.approx(np.conj(inner(b, a)), abs=1e-14)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="qubit counts differ"):
             inner(random_dense_state(2, rng), random_dense_state(3, rng))
 
 
@@ -129,5 +129,5 @@ class TestStateVector:
             StateVector(n=1, amplitudes=np.array([1.0, 1.0]))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="amplitudes shape"):
             StateVector(n=2, amplitudes=np.array([1.0, 0.0]))
