@@ -4,12 +4,13 @@ Subcommands: generate | features | train | bound | scatter | reproduce.
 
 Option precedence for the experiment knobs: HAMFOURIER_SEED environment
 variable (master seed only) > explicit flags > --config JSON file >
-built-in defaults.  The config file mirrors the flag names with underscores
-(e.g. {"n": 12, "nstep_schedule": "1,1,2"}) or the ExperimentConfig field
-names; where a file gives both spellings, the flag's wins.
+built-in defaults.  The config file's keys are the ExperimentConfig field
+names (e.g. {"n": 12, "schedule": "1,1,2"}), as in a dataset's sidecar;
+ExperimentConfig.from_dict checks every value, wherever it comes from.
 
-Every refused input is a ConfigError: each subcommand prints it as
-"error: <message>" and exits with code 2; other exceptions propagate.
+Each subcommand prints a refused input (ConfigError) or an unreadable file
+(OSError) as "error: <message>" and exits with code 2; other exceptions
+propagate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .bounds import (
@@ -48,12 +49,10 @@ from .pipeline import (
 
 #: ExperimentConfig fields, which are the config flags' argparse dests
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
-#: config-file spellings of the two flags whose field is named otherwise
-_FILE_ALIASES = {"nstep_schedule": "schedule", "f": "f_kind"}
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON file mirroring the flags")
+    p.add_argument("--config", type=Path, help="JSON file of config fields")
     p.add_argument("--n", type=int, help="qubit count")
     p.add_argument("--num", type=int, help="number of Hamiltonian samples")
     p.add_argument("--seed", type=int, help="master seed")
@@ -90,13 +89,7 @@ def _env_seed() -> int | None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        file_values = json.loads(Path(args.config).read_text())
-        values = {k: v for k, v in file_values.items() if k in _FIELDS}
-        values.update((field, file_values[flag])
-                      for flag, field in _FILE_ALIASES.items()
-                      if flag in file_values)
+    values = json.loads(args.config.read_text()) if args.config else {}
     values.update((k, v) for k, v in vars(args).items()
                   if k in _FIELDS and v is not None)
     seed = _env_seed()
@@ -109,8 +102,7 @@ def _run_bound(args: argparse.Namespace) -> int:
     b = BoundInputs(K=args.k, W=args.w_bound, f_inf=args.f_inf, N_d=args.num,
                     delta=args.delta, eps_K=args.eps_k, eta=args.eta)
     report = {
-        "inputs": {"K": b.K, "W": b.W, "f_inf": b.f_inf, "N_d": b.N_d,
-                   "delta": b.delta, "eps_K": b.eps_K, "eta": b.eta},
+        "inputs": asdict(b),
         "terms": {**expected_loss_terms(b), **noise_terms(b)},
         "expected_loss_bound": expected_loss_bound(b),
         "noisy_expected_loss_bound": noisy_expected_loss_bound(b),
@@ -184,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,7 +89,7 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     if n_step < 1:
         raise ConfigError(f"n_step must be >= 1, got {n_step}")
     out = np.zeros(2**spec.n, dtype=complex)
-    for states, _, evolved in _strang_sectors(spec, _state_array(spec, v),
+    for states, _, evolved in _strang_sectors(spec, _state_array([spec], v),
                                               [t], [n_step]):
         out[states] = evolved[:, 0]
     return StateVector(n=spec.n, amplitudes=out)
@@ -124,7 +124,7 @@ def amplitude_rows(specs, psi: StateVector, times,
                               f"{len(times)} times")
         if min(schedule) < 1:
             raise ConfigError(f"all step counts must be >= 1, got {schedule}")
-        vec = _state_array(specs[0], psi)
+        vec = _state_array(specs, psi)
         # einsum: a threaded BLAS call this small stalls on busy cores
         return np.array([sum(np.einsum("d,dl->l", np.conj(c), evolved)
                              for _, c, evolved in _strang_sectors(

@@ -13,15 +13,16 @@ feature_rows composes the two layers for a batch of samples sharing ψ
 
   amplitude layer  evolution.amplitude_rows: A(t_l) from one spectral
                    measure of ψ per sample, or from the Strang circuit with
-                   schedule[l] steps when a schedule is present.
+                   schedule[l] steps when a schedule is present, after the
+                   feature map's checks (checked_amplitudes).
   noise layer      estimate: what the backend's readout measures of A.
                    With n_shot = 0 it returns A unchanged, since both
                    readouts are unbiased and their infinite-shot limit is
                    A itself (for the overlap readout
                    reconstruct(overlaps(A)) = A exactly).  With n_shot >= 1:
     hadamard-shots   each quadrature is the mean of N_shot ±1 outcomes
-                     with P(+1) = (1 + value)/2 (Re A on circuit
-                     CIRCUIT_COS, Im A on CIRCUIT_SIN).
+                     with P(+1) = (1 + value)/2 (Re A on circuit 0,
+                     Im A on circuit 1).
     overlap-shots    the four probabilities w_± = |<ψ_±|U(t)|ψ_+>|²,
                      w_±i = |<ψ_±i|U(t)|ψ_+>|² are estimated as empirical
                      frequencies and recombined as
@@ -57,7 +58,6 @@ BACKENDS = ("exact", "hadamard-shots", "overlap-shots")
 #: the overlap probabilities; a name's position is its circuit id, which
 #: keys its shot substream and indexes the last axis of overlap arrays
 OVERLAP_NAMES = ("w_plus", "w_minus", "w_plus_i", "w_minus_i")
-CIRCUIT_COS, CIRCUIT_SIN = 0, 1
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,8 @@ def feature_rows(specs, psi: StateVector, cfg: FeatureMapConfig,
     (default 0..B-1), whose index keys its shot substreams.  x[:, 0] = 1
     and |x| <= 1 without shots."""
     samples = np.arange(len(specs)) if samples is None else np.asarray(samples)
-    bound = max(map(spectral_bound, specs))
-    if cfg.C < bound * (1.0 - 1e-9):
-        raise ConfigError(
-            f"C = {cfg.C} is below the spectral bound {bound}; eigenvalues "
-            "would wrap around the Fourier period"
-        )
-    lambda_ref = None
-    if cfg.backend == "overlap-shots":  # the check holds at any n_shot
-        lambda_ref = np.array([overlap_reference(s, psi) for s in specs])
-    amps = estimate(amplitude_rows(specs, psi, cfg.times(), cfg.schedule),
-                    cfg, samples, lambda_ref)
+    amps, lambda_ref = checked_amplitudes(specs, psi, cfg)
+    amps = estimate(amps, cfg, samples, lambda_ref)
     x = np.empty((len(specs), 2 * cfg.K + 1))
     x[:, 0::2] = amps.real
     x[:, 1::2] = amps.imag[:, 1:]  # the l = 0 sine vanishes
@@ -132,6 +123,21 @@ def feature_vector(spec: CouplingSpec, psi: StateVector, cfg: FeatureMapConfig,
                    sample_index: int = 0) -> np.ndarray:
     """The features of one sample: feature_rows' batch of one."""
     return feature_rows([spec], psi, cfg, [sample_index])[0]
+
+
+def checked_amplitudes(specs, psi: StateVector, cfg: FeatureMapConfig):
+    """(A rows, λ_ref or None): C >= each spec's spectral bound, then, on the
+    overlap-shots backend, λ_ref (ψ ⊥ |0...0>), then the amplitude layer."""
+    bound = max(map(spectral_bound, specs))
+    if cfg.C < bound * (1.0 - 1e-9):
+        raise ConfigError(
+            f"C = {cfg.C} is below the spectral bound {bound}; eigenvalues "
+            "would wrap around the Fourier period"
+        )
+    lambda_ref = None
+    if cfg.backend == "overlap-shots":
+        lambda_ref = np.array([overlap_reference(s, psi) for s in specs])
+    return amplitude_rows(specs, psi, cfg.times(), cfg.schedule), lambda_ref
 
 
 def estimate(amps: np.ndarray, cfg: FeatureMapConfig, samples,
@@ -161,7 +167,7 @@ def estimate(amps: np.ndarray, cfg: FeatureMapConfig, samples,
         means -= cfg.n_shot
         means /= cfg.n_shot
         est = np.empty(amps.shape, dtype=complex)
-        est.real, est.imag = means[..., CIRCUIT_COS], means[..., CIRCUIT_SIN]
+        est.real, est.imag = means[..., 0], means[..., 1]
         return est
     if lambda_ref is None:  # overlap-shots: the exact backend takes no shots
         raise ConfigError("the overlap readout needs lambda_ref")

@@ -123,17 +123,21 @@ def spectral_bound(spec: CouplingSpec) -> float:
     return 3.0 * float(np.sum(np.abs(spec.couplings)))
 
 
-def _state_array(spec: CouplingSpec, v) -> np.ndarray:
+def _state_array(specs, v) -> np.ndarray:
+    """The amplitudes of v for a batch of specs, which must share n."""
+    n = specs[0].n
+    if any(spec.n != n for spec in specs):
+        raise ConfigError("a batch of specs must share n")
     vec = np.asarray(getattr(v, "amplitudes", v))
-    if vec.shape != (2**spec.n,):
-        raise ConfigError(f"state has shape {vec.shape}, expected ({2**spec.n},)")
+    if vec.shape != (2**n,):
+        raise ConfigError(f"state has shape {vec.shape}, expected ({2**n},)")
     return vec
 
 
 def apply_hamiltonian(spec: CouplingSpec, v) -> np.ndarray:
     """Matrix-free H·v over the full 2^n space, one sector block at a time,
     so components never leave their magnetization sector."""
-    vec = _state_array(spec, v)
+    vec = _state_array([spec], v)
     out = np.zeros(2**spec.n, dtype=complex)
     for k in occupied_magnetizations(spec.n, vec):
         basis, apply = _sector_operator(spec, k)
@@ -233,10 +237,7 @@ def spectral_measures(specs, v, integrand=None):
     gives a depth-m tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes
     and weights ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant,
     2010), deep enough that integrand(θ) @ weights settles."""
-    n = specs[0].n
-    if any(spec.n != n for spec in specs):
-        raise ConfigError("a batch of specs must share n")
-    vec = _state_array(specs[0], v)
+    n, vec = specs[0].n, _state_array(specs, v)
     couplings = np.array([spec.couplings for spec in specs])
     for k in occupied_magnetizations(n, vec):
         _check_dim(n, k)

@@ -15,9 +15,8 @@ coefficients.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,16 +28,6 @@ KINDS = ("exp", "cos", "sin", "fourier", "step")
 #: grid resolution for numeric sup-norm evaluation
 SUP_GRID_POINTS = 10_001
 DOMAIN_SLACK = 1e-9
-
-
-def _fourier_design(x: np.ndarray, n_coeffs: int, c_bound: float) -> np.ndarray:
-    """Columns φ_0 = 1, φ_{2l-1} = -sin(lπx/C), φ_{2l} = cos(lπx/C)."""
-    k_max = (n_coeffs - 1) // 2
-    cols = [np.ones_like(x)]
-    for l in range(1, k_max + 1):
-        cols.append(-np.sin(l * np.pi * x / c_bound))
-        cols.append(np.cos(l * np.pi * x / c_bound))
-    return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -54,7 +43,7 @@ class FunctionSpec:
     C: float
     param: float = 0.0
     coeffs: tuple[float, ...] | None = None
-    sup_norm: float = 0.0
+    sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -86,37 +75,36 @@ class FunctionSpec:
         return float(np.max(np.abs(self(grid))))
 
     def __call__(self, x):
-        return eval_f(self, x)
-
-
-def eval_f(fspec: FunctionSpec, x):
-    """Pointwise f(x); accepts scalars or arrays, errors outside [-C, C]."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > fspec.C + DOMAIN_SLACK):
-        raise ConfigError(
-            f"argument outside [-{fspec.C}, {fspec.C}]: "
-            f"max |x| = {np.max(np.abs(arr))}"
-        )
-    if fspec.kind == "exp":
-        out = np.exp(-fspec.param * arr)
-    elif fspec.kind == "cos":
-        out = np.cos(fspec.param * arr)
-    elif fspec.kind == "sin":
-        out = -np.sin(fspec.param * arr)
-    elif fspec.kind == "step":
-        out = (arr >= fspec.param).astype(float)
-    else:
-        design = _fourier_design(arr, len(fspec.coeffs), fspec.C)
-        out = design @ np.asarray(fspec.coeffs)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        """Pointwise f(x); accepts scalars or arrays, errors outside [-C, C]."""
+        arr = np.asarray(x, dtype=float)
+        if np.any(np.abs(arr) > self.C + DOMAIN_SLACK):
+            raise ConfigError(
+                f"argument outside [-{self.C}, {self.C}]: "
+                f"max |x| = {np.max(np.abs(arr))}"
+            )
+        if self.kind == "exp":
+            out = np.exp(-self.param * arr)
+        elif self.kind == "cos":
+            out = np.cos(self.param * arr)
+        elif self.kind == "sin":
+            out = -np.sin(self.param * arr)
+        elif self.kind == "step":
+            out = (arr >= self.param).astype(float)
+        else:  # columns 1, -sin(lπx/C), cos(lπx/C) for l = 1, 2, ...
+            cols = [np.ones_like(arr)]
+            for l in range(1, len(self.coeffs) // 2 + 1):
+                cols.append(-np.sin(l * np.pi * arr / self.C))
+                cols.append(np.cos(l * np.pi * arr / self.C))
+            out = np.stack(cols, axis=-1) @ np.asarray(self.coeffs)
+        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def label_rows(specs, psi: StateVector, fspec: FunctionSpec) -> np.ndarray:
     """y = Tr[f(H)ρ] = sum_j w_j f(θ_j) for every spec of a batch sharing n;
     |y| <= sup_norm."""
-    f = functools.partial(eval_f, fspec)
     return spectral_sum(specs, psi, lambda nodes, weights: np.sum(
-        weights * f(nodes), axis=-1), None if fspec.kind == "step" else f)
+        weights * fspec(nodes), axis=-1),
+        None if fspec.kind == "step" else fspec)
 
 
 def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec) -> float:

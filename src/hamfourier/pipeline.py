@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import features as ft
 from . import labels as lb
-from .evolution import amplitude_rows
 from .hamiltonians import (
     ConfigError,
     CouplingSpec,
@@ -107,21 +107,33 @@ class ExperimentConfig:
             return "domain_wall"
         return {"basis": self.state}
 
-    def to_dict(self) -> dict:
-        return asdict(self)  # field order is the sidecar's key order
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if d.get("coeffs") is not None:
-            d["coeffs"] = _parse_list("coeffs", d["coeffs"], float)
-        for key in ("split", "c", "beta"):
-            if key in d:
-                d[key] = float(d[key])
-        for key in ("w_bound", "alpha"):
-            if d.get(key) is not None:
-                d[key] = float(d[key])
-        return cls(**d)
+        """The config of a dict keyed by field names, values as _typed."""
+        hints = typing.get_type_hints(cls)
+        if unknown := [key for key in d if key not in hints]:
+            raise ConfigError(f"unknown config key {unknown[0]!r}; the keys "
+                              f"are the fields {', '.join(hints)}")
+        return cls(**{k: _typed(k, v, hints[k]) for k, v in d.items()})
+
+
+def _typed(key: str, value, hint):
+    """value as its field's type: an int field takes an int, a float field
+    an int or a finite float (a bool is neither), a str field a str; an
+    optional field also takes None, and coeffs a comma string or a list."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if key == "coeffs":
+        return _parse_list(key, value, float)
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if int in kinds and is_int or str in kinds and isinstance(value, str):
+        return value
+    if float in kinds and (is_int or isinstance(value, float)
+                           and math.isfinite(value)):
+        return float(value)
+    kind = {int: "an int", float: "a finite number"}.get(kinds[0], "a string")
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def _parse_list(name: str, value, kind) -> tuple:
@@ -192,7 +204,7 @@ def cmd_generate(config: ExperimentConfig, out_path) -> Path:
     if not lines:
         warnings.warn("generated an empty dataset (num = 0)")
     atomic_write(out_path, "".join(line + "\n" for line in lines))
-    atomic_write(sidecar_path(out_path), json_17g(config.to_dict()) + "\n")
+    atomic_write(sidecar_path(out_path), json_17g(asdict(config)) + "\n")
     return out_path
 
 
@@ -240,11 +252,8 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
     lines = [header] + [",".join(format_float(v) for v in x) for x in _by_state(
         rows, lambda specs, psi, idx: ft.feature_rows(specs, psi, cfg, idx))]
     atomic_write(out_path, "".join(line + "\n" for line in lines))
-    provenance = {
-        "K": cfg.K, "C": cfg.C, "backend": cfg.backend, "n_shot": cfg.n_shot,
-        "schedule": ",".join(map(str, cfg.schedule)) if cfg.schedule else None,
-        "seed": cfg.seed,
-    }
+    provenance = {**asdict(cfg), "schedule": ",".join(map(str, cfg.schedule))
+                  if cfg.schedule else None}
     atomic_write(sidecar_path(out_path), json_17g(provenance) + "\n")
     return out_path
 
@@ -345,10 +354,8 @@ def overlap_scatter(config: ExperimentConfig, dataset_path, out_path) -> Path:
     lines, times = ["sample,l,circuit,exact,estimated"], cfg.times()
 
     def scatter(specs, psi, idx):  # rows (w, its estimate), shape (2, L, 4)
-        lambda_ref = np.array([ft.overlap_reference(s, psi) for s in specs])
-        w = ft.overlaps_from_amplitudes(
-            amplitude_rows(specs, psi, times, cfg.schedule),
-            lambda_ref[:, None], times)
+        amps, lambda_ref = ft.checked_amplitudes(specs, psi, cfg)
+        w = ft.overlaps_from_amplitudes(amps, lambda_ref[:, None], times)
         return np.stack(
             [w, ft.overlap_frequencies(w, cfg.n_shot, cfg.seed, idx)], axis=1)
 
@@ -392,8 +399,7 @@ _LARGE_ROWS = {"exact32", "trotter32", "shots32", "mps32", "qpu32",
                "exact40", "trotter40", "shots40", "mps40", "qpu40"}
 
 
-def cmd_reproduce(row: str, out_dir, seed: int | None = None,
-                  echo=print) -> dict:
+def cmd_reproduce(row: str, out_dir, seed: int | None = None) -> dict:
     """Run one reference protocol end to end by chaining the generate,
     features, and train stages, then check its acceptance thresholds."""
     if row in _LARGE_ROWS:
@@ -427,10 +433,10 @@ def cmd_reproduce(row: str, out_dir, seed: int | None = None,
     if "r2_min" in crit:
         checks[f"r2 >= {crit['r2_min']:g}"] = metrics.r2 >= crit["r2_min"]
     ref = entry["reference"]
-    echo(f"row {row}: R2 = {metrics.r2:.6f} (reference {ref['r2']}), "
-         f"MSE = {metrics.mse:.3e} (reference {ref['mse']:.3g})")
+    print(f"row {row}: R2 = {metrics.r2:.6f} (reference {ref['r2']}), "
+          f"MSE = {metrics.mse:.3e} (reference {ref['mse']:.3g})")
     for name, ok in checks.items():
-        echo(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return {
         "row": row,
         "metrics": metrics.to_dict(),

@@ -32,20 +32,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _bits_to_index(bitstring: str) -> int:
-    if set(bitstring) - {"0", "1"}:
-        raise ConfigError(f"bitstring {bitstring!r} has non-binary characters")
-    return int(bitstring, 2)
-
-
 def basis_state(n: int, bitstring: str) -> StateVector:
     """Unit vector on one computational basis element."""
     if len(bitstring) != n:
         raise ConfigError(
             f"bitstring {bitstring!r} has {len(bitstring)} bits, expected {n}"
         )
+    if set(bitstring) - {"0", "1"}:
+        raise ConfigError(f"bitstring {bitstring!r} has non-binary characters")
     amps = np.zeros(2**n, dtype=complex)
-    amps[_bits_to_index(bitstring)] = 1.0
+    amps[int(bitstring, 2)] = 1.0
     return StateVector(n=n, amplitudes=amps)
 
 

@@ -37,7 +37,7 @@ def report(index: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_exact_pipeline(tmp_path):
     """Exact 12-qubit row: test MSE <= 1e-6 and R^2 >= 0.999."""
-    result = cmd_reproduce("exact12", tmp_path, echo=lambda *a: None)
+    result = cmd_reproduce("exact12", tmp_path)
     mse, r2 = result["metrics"]["mse"], result["metrics"]["r2"]
     ok = mse <= 1e-6 and r2 >= 0.999
     report(1, ok, f"exact12 MSE={mse:.3e} (<=1e-6), R2={r2:.6f} (>=0.999)")
@@ -46,7 +46,7 @@ def test_criterion_1_exact_pipeline(tmp_path):
 
 def test_criterion_2_trotterized_noiseless(tmp_path):
     """Scheduled Strang evolution, overlap reconstruction, no sampling."""
-    result = cmd_reproduce("trotter12", tmp_path, echo=lambda *a: None)
+    result = cmd_reproduce("trotter12", tmp_path)
     mse, r2 = result["metrics"]["mse"], result["metrics"]["r2"]
     ok = mse <= 1e-3 and r2 >= 0.99
     report(2, ok, f"trotter12 MSE={mse:.3e} (<=1e-3), R2={r2:.6f} (>=0.99)")
@@ -58,8 +58,7 @@ def test_criterion_3_shot_noise_robustness(tmp_path):
     seeds = (101, 202, 303, 404, 505)
     r2s = []
     for seed in seeds:
-        result = cmd_reproduce("shots12", tmp_path, seed=seed,
-                               echo=lambda *a: None)
+        result = cmd_reproduce("shots12", tmp_path, seed=seed)
         r2s.append(result["metrics"]["r2"])
     hits = sum(r2 >= 0.95 for r2 in r2s)
     ok = hits >= 4

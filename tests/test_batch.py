@@ -162,3 +162,10 @@ def test_batch_must_share_n(rng):
     with pytest.raises(hm.ConfigError, match="must share n"):
         label_rows([random_spec(4, rng), random_spec(5, rng)], domain_wall(4),
                    FunctionSpec("exp", C, 1.0))
+    # the Strang circuit reads the state once for the batch, so it checks too
+    mixed = [random_spec(4, rng), random_spec(3, rng)]
+    with pytest.raises(hm.ConfigError, match="must share n"):
+        amplitude_rows(mixed, domain_wall(4), [0.0, 1.0, 2.0], (1, 1, 1))
+    with pytest.raises(hm.ConfigError, match="must share n"):
+        feature_rows(mixed, domain_wall(4),
+                     FeatureMapConfig(K=K, C=C, schedule=(1, 1, 1, 1)))

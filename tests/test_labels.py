@@ -3,48 +3,49 @@ import pytest
 
 from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import ConfigError
-from hamfourier.labels import FunctionSpec, eval_f, label
+from hamfourier.labels import FunctionSpec, label
 from hamfourier.states import basis_state
 
 from conftest import random_sector_state, random_spec
 
 
 class TestEvalF:
+    """Pointwise evaluation, fspec(x)."""
+
     def test_exp_at_zero(self):
-        assert eval_f(FunctionSpec("exp", 3.0, 1.0), 0.0) == 1.0
+        assert FunctionSpec("exp", 3.0, 1.0)(0.0) == 1.0
 
     def test_exp_at_lower_edge(self):
-        assert eval_f(FunctionSpec("exp", 3.0, 1.0), -3.0) == pytest.approx(
+        assert FunctionSpec("exp", 3.0, 1.0)(-3.0) == pytest.approx(
             np.exp(3.0), rel=1e-12)
 
     def test_single_cosine_term(self):
         # unit weight on cos l=1
         f = FunctionSpec("fourier", 3.0, coeffs=[0.0, 0.0, 1.0])
         for x in np.linspace(-3, 3, 7):
-            assert eval_f(f, x) == pytest.approx(np.cos(np.pi * x / 3), abs=1e-12)
+            assert f(x) == pytest.approx(np.cos(np.pi * x / 3), abs=1e-12)
 
     def test_sine_kind_carries_feature_sign(self):
         f = FunctionSpec("sin", 3.0, 0.4)
-        assert eval_f(f, 1.0) == pytest.approx(-np.sin(0.4), abs=1e-15)
+        assert f(1.0) == pytest.approx(-np.sin(0.4), abs=1e-15)
 
     def test_fourier_sine_basis_sign(self):
         # unit weight on sin l=1
         f = FunctionSpec("fourier", 3.0, coeffs=[0.0, 1.0, 0.0])
-        assert eval_f(f, 1.5) == pytest.approx(-np.sin(np.pi * 1.5 / 3),
-                                               abs=1e-12)
+        assert f(1.5) == pytest.approx(-np.sin(np.pi * 1.5 / 3), abs=1e-12)
 
     def test_step(self):
         f = FunctionSpec("step", 3.0, 0.5)
-        assert eval_f(f, 0.4) == 0.0
-        assert eval_f(f, 0.5) == 1.0
-        assert eval_f(f, 2.0) == 1.0
+        assert f(0.4) == 0.0
+        assert f(0.5) == 1.0
+        assert f(2.0) == 1.0
 
     def test_domain_error(self):
         with pytest.raises(ConfigError, match="argument outside"):
-            eval_f(FunctionSpec("exp", 3.0, 1.0), 3.5)
+            FunctionSpec("exp", 3.0, 1.0)(3.5)
 
     def test_vectorized(self):
-        out = eval_f(FunctionSpec("cos", 3.0, 1.0), np.array([0.0, 1.0]))
+        out = FunctionSpec("cos", 3.0, 1.0)(np.array([0.0, 1.0]))
         np.testing.assert_allclose(out, [1.0, np.cos(1.0)])
 
 
@@ -68,7 +69,7 @@ class TestSupNorm:
                  FunctionSpec("fourier", 3.0, coeffs=coeffs)]
         grid = np.linspace(-3.0, 3.0, 10_000)
         for fspec in specs:
-            assert np.all(np.abs(eval_f(fspec, grid)) <= fspec.sup_norm + 1e-12)
+            assert np.all(np.abs(fspec(grid)) <= fspec.sup_norm + 1e-12)
 
 
 class TestFunctionSpecValidation:

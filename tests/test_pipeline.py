@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ class TestSerialization:
                                   schedule="1,2,2,3,3", method="constrained",
                                   w_bound=2.0, f_kind="fourier",
                                   coeffs=(0.1, -0.2, 0.3), state="000111")
-        back = ExperimentConfig.from_dict(json.loads(json_17g(config.to_dict())))
+        back = ExperimentConfig.from_dict(json.loads(json_17g(asdict(config))))
         assert back == config
 
     def test_state_descriptor_roundtrip(self):
@@ -89,7 +89,7 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_seed_changes_data(self, tmp_path):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
         cmd_generate(SMALL, a)
@@ -97,7 +97,7 @@ class TestGenerate:
         assert a.read_bytes() != b.read_bytes()
 
     def test_empty_dataset_warns(self, tmp_path):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         path = tmp_path / "empty.jsonl"
         with pytest.warns(UserWarning):
             cmd_generate(replace(SMALL, num=0), path)
@@ -110,7 +110,7 @@ class TestGenerate:
         assert back == SMALL
 
     def test_basis_state_mode(self, tmp_path):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         path = tmp_path / "basis.jsonl"
         cmd_generate(replace(SMALL, num=3, state="0101"), path)
         _, descriptor, _ = read_dataset(path)[0]
@@ -139,7 +139,7 @@ class TestFeatureStage:
         assert meta["schedule"] == "1,2,2,3"
 
     def test_trotterized_noiseless_close_to_exact(self, tmp_path, small_dataset):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         exact_out = tmp_path / "exact.csv"
         trot_out = tmp_path / "trot.csv"
         cmd_features(SMALL, small_dataset, exact_out)
@@ -150,7 +150,7 @@ class TestFeatureStage:
         assert 0 < diff.max() <= 1e-2
 
     def test_shot_features_deterministic(self, tmp_path, small_dataset):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         config = replace(SMALL, backend="overlap-shots", shots=64)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -160,7 +160,7 @@ class TestFeatureStage:
 
     def test_sample_order_independent(self, small_dataset):
         # substreams are keyed by sample index, not evaluation order
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         from hamfourier.features import feature_vector
         cfg = replace(SMALL, backend="hadamard-shots", shots=32).feature_map()
         rows = read_dataset(small_dataset)
@@ -225,7 +225,7 @@ class TestSplit:
 class TestTrainStage:
     def test_expressible_target_fits_exactly(self, tmp_path):
         # a fourier target in the feature basis leaves zero residual
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         config = replace(SMALL, f_kind="fourier",
                          coeffs=(0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.6))
         data = tmp_path / "data.jsonl"
@@ -280,7 +280,7 @@ class TestTrainStage:
                            tmp_path / "s.json")
 
     def test_constrained_method(self, tmp_path, small_dataset):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         feats = tmp_path / "features.csv"
         cmd_features(SMALL, small_dataset, feats)
         config = replace(SMALL, method="constrained", w_bound=0.5)
@@ -290,7 +290,7 @@ class TestTrainStage:
         assert np.linalg.norm(model["weights"]) <= 0.5 * (1 + 1e-8)
 
     def test_ridge_grid_selection(self, tmp_path):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         config = replace(SMALL, method="ridge", alpha=None, f_kind="fourier",
                          coeffs=(0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.6))
         data = tmp_path / "data.jsonl"
@@ -329,7 +329,7 @@ class TestScatter:
             assert exact == estimated
 
     def test_shape_mismatch_rejected(self, tmp_path, small_dataset):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         cmd_features(SMALL, small_dataset, a)
@@ -338,7 +338,7 @@ class TestScatter:
             cmd_scatter(a, b, tmp_path / "out.csv")
 
     def test_overlap_scatter_t0_peaks(self, tmp_path, small_dataset):
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         out = tmp_path / "w.csv"
         overlap_scatter(replace(SMALL, shots=50), small_dataset, out)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -354,7 +354,7 @@ class TestScatter:
 
     def test_shot_scaling_of_scatter_spread(self, tmp_path, small_dataset):
         # RMS deviation from the diagonal shrinks ~ 1/sqrt(shots)
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         rms = {}
         for shots in (100, 10_000):
             out = tmp_path / f"w{shots}.csv"
@@ -368,7 +368,7 @@ class TestScatter:
     def test_overlap_scatter_recombines_to_feature_rows(self, tmp_path,
                                                         small_dataset):
         # the scatter plots the very draws and schedule behind the features
-        from dataclasses import replace
+        from dataclasses import asdict, replace
         from hamfourier.features import overlap_reference, reconstruct_amplitudes
         config = replace(SMALL, backend="overlap-shots", shots=50,
                          schedule="1,2,2,3")
@@ -405,9 +405,8 @@ class TestReproduce:
     def test_reproduce_equals_chained_stages(self, tmp_path):
         # composability: the row runner is exactly generate -> features -> train
         from hamfourier.pipeline import REPRODUCE_ROWS
-        result = cmd_reproduce("trotter12", tmp_path / "row", seed=21,
-                               echo=lambda *a: None)
-        from dataclasses import replace
+        result = cmd_reproduce("trotter12", tmp_path / "row", seed=21)
+        from dataclasses import asdict, replace
         config = replace(REPRODUCE_ROWS["trotter12"]["config"], seed=21)
         d = tmp_path / "manual"
         d.mkdir()
@@ -476,7 +475,7 @@ class TestCli:
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(
-            {"n": 4, "num": 5, "seed": 3, "f": "exp", "beta": 1.0}))
+            {"n": 4, "num": 5, "seed": 3, "f_kind": "exp", "beta": 1.0}))
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
         main(["generate", "--config", str(config_file), "--out", str(out_a)])
@@ -486,17 +485,19 @@ class TestCli:
         assert json.loads(sidecar_path(out_a).read_text())["seed"] == 3
         assert json.loads(sidecar_path(out_b).read_text())["seed"] == 4
 
-    def test_config_file_flag_spelling_wins(self, tmp_path):
-        # a file may spell a knob as the flag or as the field; unknown keys
-        # are ignored
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(
-            {"n": 4, "num": 3, "f": "cos", "f_kind": "sin", "bogus": 1,
-             "nstep_schedule": "1,2,2,3", "schedule": "9,9,9,9"}))
-        out = tmp_path / "a.jsonl"
-        main(["generate", "--config", str(config_file), "--out", str(out)])
-        back = json.loads(sidecar_path(out).read_text())
-        assert (back["f_kind"], back["schedule"]) == ("cos", "1,2,2,3")
+    def test_generate_sidecar_is_a_config_file(self, tmp_path, capsys):
+        # config-file keys are the field names, so a dataset's sidecar
+        # configures the later stages
+        data, feats = tmp_path / "d.jsonl", tmp_path / "f.csv"
+        assert main(["generate", "--n", "4", "--num", "20", "--seed", "3",
+                     "--k", "3", "--out", str(data)]) == 0
+        config = ["--config", str(sidecar_path(data))]
+        assert main(["features", *config, "--in", str(data),
+                     "--out", str(feats)]) == 0
+        assert main(["train", *config, "--in", str(data), "--features",
+                     str(feats), "--out", str(tmp_path / "run")]) == 0
+        provenance = json.loads(sidecar_path(feats).read_text())
+        assert (provenance["K"], provenance["seed"]) == (3, 3)
 
     def test_reproduce_rejects_large_rows(self, tmp_path, capsys):
         rc = main(["reproduce", "--row", "qpu32", "--out", str(tmp_path)])
@@ -529,6 +530,17 @@ class TestCli:
     TRAIN = ["train", *SIZE, "--out", "{tmp}/run"]
     BOUND = ["bound", "--k", "3", "--w-bound", "1", "--f-inf", "1",
              "--num", "5"]
+    #: --config files of the refusal cases
+    CONFIGS = {
+        "half_shots": {"shots": 2.5, "backend": "hadamard-shots", "k": 3},
+        "real_seed": {"seed": 3.7},
+        "text_n": {"n": "4"},
+        "real_num": {"num": 5.5},
+        "text_c": {"c": "abc"},
+        "flag_schedule": {"nstep_schedule": "1,1,1,1"},
+        "flag_f": {"f": "exp"},
+        "shot": {"shot": 100, "backend": "hadamard-shots"},
+    }
 
     @pytest.mark.parametrize("argv, message", [
         (GENERATE + ["--split", "2"], "split must lie in (0, 1)"),
@@ -560,11 +572,35 @@ class TestCli:
         (BOUND + ["--delta", "2"], "delta must lie in (0, 1)"),
         (BOUND + ["--delta", "0.05", "--shot-eta", "0"],
          "eta must be positive"),
+        (["scatter", *SIZE, "--in", "{data}", "--out", "{tmp}/s.csv",
+          "--shots", "10", "--c", "1"], "below the spectral bound"),
+        (FEATURES + ["--config", "{half_shots}"], "shots must be an int"),
+        (FEATURES + ["--config", "{real_seed}"], "seed must be an int"),
+        (["generate", "--config", "{text_n}", "--out", "{tmp}/g.jsonl"],
+         "n must be an int, got '4'"),
+        (["generate", "--config", "{real_num}", "--out", "{tmp}/g.jsonl"],
+         "num must be an int, got 5.5"),
+        (["generate", "--config", "{text_c}", "--out", "{tmp}/g.jsonl"],
+         "c must be a finite number, got 'abc'"),
+        (FEATURES + ["--c", "nan"], "c must be a finite number, got nan"),
+        (FEATURES + ["--c", "inf"], "c must be a finite number, got inf"),
+        (GENERATE + ["--beta", "nan"], "beta must be a finite number"),
+        (FEATURES + ["--config", "{flag_schedule}"],
+         "unknown config key 'nstep_schedule'"),
+        (GENERATE + ["--config", "{flag_f}"], "unknown config key 'f'"),
+        (FEATURES + ["--config", "{shot}"], "unknown config key 'shot'"),
+        (TRAIN + ["--in", "{tmp}/missing.jsonl", "--features",
+                  "{tmp}/missing.csv"], "missing.csv not found"),
+        (["features", *SIZE, "--in", "{tmp}/missing.jsonl", "--out",
+          "{tmp}/f2.csv"], "No such file or directory"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
         files = {"tmp": tmp_path, "data": small_dataset,
                  "feats": tmp_path / "f.csv", "feats_k2": tmp_path / "fk2.csv"}
+        for name, values in self.CONFIGS.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(values))
         cmd_features(SMALL, small_dataset, files["feats"])
         cmd_features(replace(SMALL, k=2), small_dataset, files["feats_k2"])
         records = small_dataset.read_text().splitlines(keepends=True)

@@ -24,7 +24,7 @@ from hamfourier.hamiltonians import (
     sector_states,
     spectral_measures,
 )
-from hamfourier.labels import FunctionSpec, eval_f, label
+from hamfourier.labels import FunctionSpec, label
 from hamfourier.states import StateVector, basis_state, domain_wall
 
 from conftest import dense_measure, random_sector_state, random_spec, superpose
@@ -67,7 +67,7 @@ def test_lanczos_matches_dense(n, rng):
         a_dense = sum(np.exp(-1j * np.outer(TIMES, evals)) @ p for evals, p in dense)
         assert np.max(np.abs(amplitudes(spec, psi, TIMES) - a_dense)) <= 1e-12, name
         for fspec in targets(rng):
-            y_dense = sum(np.sum(p * eval_f(fspec, evals)) for evals, p in dense)
+            y_dense = sum(np.sum(p * fspec(evals)) for evals, p in dense)
             y = label(spec, psi, fspec)
             assert abs(y - y_dense) <= 1e-12 * max(1.0, abs(y_dense)), (name, fspec.kind)
 
@@ -124,7 +124,7 @@ def test_step_label_is_dense_bit_for_bit(n, rng):
     for psi in sweep_states(n, rng).values():
         for threshold in (-0.4, 0.1, 0.9):
             fspec = FunctionSpec("step", C, threshold)
-            dense = float(sum(np.sum(p * eval_f(fspec, evals))
+            dense = float(sum(np.sum(p * fspec(evals))
                               for evals, p in dense_measure(spec, psi)))
             assert label(spec, psi, fspec) == dense
 
