@@ -89,7 +89,12 @@ def _env_seed() -> int | None:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = json.loads(args.config.read_text()) if args.config else {}
+    try:  # bad JSON or bad UTF-8
+        values = json.loads(args.config.read_text()) if args.config else {}
+    except ValueError as err:
+        raise ConfigError(f"{args.config} is not valid JSON: {err}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"{args.config} holds no JSON object")
     values.update((k, v) for k, v in vars(args).items()
                   if k in _FIELDS and v is not None)
     seed = _env_seed()

@@ -7,8 +7,8 @@ significant bit of a basis index, so |b0 b1 ... b_{n-1}> lives at index
 int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
 popcount), which lets us work on one sector block at a time instead of
 the full 2^n matrix, for a batch of specs at once (spectral_measures): by
-certified Lanczos quadrature from matrix-free H·v or by stacked dense eigh.
-sector_eigensystem (one dense eigh) is the tests' reference.
+certified Lanczos quadrature from matrix-free H·v or by stacked dense eigh
+per total-spin block ([H, S²] = 0).  sector_eigensystem is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ SECTOR_DIM_CAP = 20_000
 #: integrals move by at most LANCZOS_TOL·max(1, |value|) between checkpoints.
 LANCZOS_TOL = 1e-13
 LANCZOS_STEP = 8
-#: Smaller sectors are diagonalized densely, which is cheaper there: the
-#: per-sample crossover for K=11 features lies between d=70 and d=126.
+#: Smaller sectors are diagonalized densely.  ms per sample (one BLAS thread,
+#: K=11 features/exp label, median of 3 runs), dense vs Lanczos: d=70 0.36/
+#: 0.32 vs 1.8/0.85; d=126 1.0/0.98 vs 1.5/0.70; d=252 3.5/3.6 vs 2.0/0.80.
 LANCZOS_MIN_DIM = 100
-#: Dense sector blocks go through eigh in stacks of at most this many
-#: entries (6 samples at d=70, 81 at d=20, one from d=129 up): a stack's
-#: blocks, eigenvectors and their complex copy then stay near 1 MiB.
+#: Dense sectors go through eigh in stacks of EIGH_STACK_ENTRIES // sum_S
+#: d_S² samples (22 at d=70, 248 at d=20, one at d=924), so a stack's spin
+#: blocks, eigenvectors and their complex copy stay near 1 MiB.
 EIGH_STACK_ENTRIES = 2**15
 
 
@@ -89,10 +90,11 @@ class SpectralMeasure:
     """Measures of a state ψ on one sector for b samples of a batch, one row
     each: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>, arrays of shape (b, depth).
 
-    Dense records hold all eigenvalues and p_l = |<λ_l|ψ>|² (depth d, gap
-    0); Lanczos records (b = 1) hold Gauss nodes and weights, the Krylov
-    depth, and the last relative change of the certified integrals (0:
-    exhausted)."""
+    Dense records hold all eigenvalues, ascending within each total-spin
+    block and the blocks concatenated in ascending S, and p_l = |<λ_l|ψ>|²
+    (depth d, gap 0); Lanczos records (b = 1) hold Gauss nodes and weights,
+    the Krylov depth, and the last relative change of the certified
+    integrals (0: exhausted)."""
 
     magnetization: int
     eigenvalues: np.ndarray = field(repr=False)
@@ -196,21 +198,40 @@ def sector_states(n: int, magnetization: int) -> SectorBasis:
     return _sector_pattern(n, magnetization)[0]
 
 
-def _sector_blocks(couplings: np.ndarray, magnetization: int) -> np.ndarray:
-    """Dense sector blocks (B, d, d) for the rows of a (B, n-1) coupling
-    array: the Z Z diagonal summed over bonds in order, then the flips."""
-    n = couplings.shape[1] + 1
-    basis, signs, rows, cols, bonds = _sector_pattern(n, magnetization)
-    mat = np.zeros((len(couplings), basis.dim, basis.dim))
-    diag = np.arange(basis.dim)
-    mat[:, diag, diag] = (couplings[:, :, None] * signs).sum(axis=1)
-    mat[:, rows, cols] += 2.0 * couplings[:, bonds]
+def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
+    """Dense real-symmetric block of H on one magnetization sector."""
+    _, signs, rows, cols, bonds = _sector_pattern(spec.n, basis.magnetization)
+    j = np.asarray(spec.couplings)
+    mat = np.diag((j[:, None] * signs).sum(axis=0))
+    mat[rows, cols] += 2.0 * j[bonds]
     return mat
 
 
-def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
-    """Dense real-symmetric block of H on one magnetization sector."""
-    return _sector_blocks(np.array([spec.couplings]), basis.magnetization)[0]
+@functools.lru_cache(maxsize=32)
+def _spin_blocks(n: int, magnetization: int):
+    """Total-spin decomposition of one sector block, coupling-independent
+    and read-only: per S² eigenspace, in ascending S, its orthonormal basis
+    Q_S (d, d_S) and the bond operators Q_Sᵀ P_m Q_S (n-1, d_S, d_S), with
+    P_m = X X + Y Y + Z Z on bond m.  Every H commutes with S² = sum_{i<j}
+    SWAP_ij + n(4-n)/4, so Q_Sᵀ H Q_S' = 0 for S != S' (Weiße & Fehske,
+    Lect. Notes Phys. 739, 2008).  Eigenspaces are told apart by 2S, an
+    integer (S itself is a half-integer at odd n)."""
+    basis, signs, rows, cols, bonds = _sector_pattern(n, magnetization)
+    states, ones = basis.states, magnetization
+    p, q = np.triu_indices(n, 1)  # bit positions of the qubit pairs
+    pair, col = np.nonzero((states >> p[:, None] ^ states >> q[:, None]) & 1)
+    s2 = np.eye(basis.dim) * (len(p) - ones * (n - ones) + n * (4 - n) / 4)
+    s2[np.searchsorted(states, states[col] ^ (1 << p | 1 << q)[pair]), col] = 1
+    evals, vecs = np.linalg.eigh(s2)  # S(S+1), ascending
+    vecs.flags.writeable = False  # and so are its views, the Q_S
+    two_s = np.rint(np.sqrt(4 * evals + 1) - 1)
+    blocks = []
+    for q_s in np.split(vecs, np.flatnonzero(np.diff(two_s)) + 1, axis=1):
+        pq = signs[:, :, None] * q_s  # P_m Q_S for every bond m
+        pq[bonds, rows] += 2.0 * q_s[cols]
+        blocks.append((q_s, q_s.T @ pq))
+        blocks[-1][1].flags.writeable = False
+    return tuple(blocks)
 
 
 def sector_eigensystem(spec: CouplingSpec, magnetization: int):
@@ -232,7 +253,7 @@ def spectral_measures(specs, v, integrand=None):
     """Measures of a state v under a batch of specs sharing n: yields the
     records of ψ's occupied sectors in ascending order, each sector's
     records covering the batch in order.  Sectors below LANCZOS_MIN_DIM (all
-    when integrand is None) are exact, by eigh of stacked blocks.  The rest
+    when integrand is None) are exact: stacked eigh per spin block.  The rest
     get certified Gauss quadrature per sample: Lanczos from the component c
     gives a depth-m tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes
     and weights ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant,
@@ -246,12 +267,16 @@ def spectral_measures(specs, v, integrand=None):
         if integrand is not None and basis.dim >= LANCZOS_MIN_DIM:
             yield from (_lanczos(spec, k, comp, integrand) for spec in specs)
             continue
-        size = max(1, EIGH_STACK_ENTRIES // basis.dim**2)
+        blocks = [(q_s.T @ comp, b) for q_s, b in _spin_blocks(n, k)]
+        size = max(1, EIGH_STACK_ENTRIES // sum(b[0].size for _, b in blocks))
         for start in range(0, len(specs), size):
-            evals, evecs = np.linalg.eigh(
-                _sector_blocks(couplings[start:start + size], k))
-            probs = np.abs(evecs.transpose(0, 2, 1) @ comp) ** 2  # real evecs
-            yield SpectralMeasure(k, evals, probs, basis.dim, gap=0.0)
+            j = couplings[start:start + size, :, None, None]
+            # summed per sample: j @ b would round as one GEMM for the stack
+            eigs = [np.linalg.eigh((j * b).sum(axis=1)) for _, b in blocks]
+            probs = [np.abs(u.transpose(0, 2, 1) @ x) ** 2  # real u
+                     for (_, u), (x, _) in zip(eigs, blocks)]
+            yield SpectralMeasure(k, np.hstack([lam for lam, _ in eigs]),
+                                  np.hstack(probs), basis.dim, 0.0)
 
 
 def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:

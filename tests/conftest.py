@@ -1,6 +1,8 @@
 """Shared oracles: dense constructions that are independent of the
 matrix-free / sector-block code paths they validate."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def dense_measure(spec: CouplingSpec, psi: StateVector):
         amps = evecs.T @ psi.amplitudes[basis.states]
         records.append((evals, np.abs(amps) ** 2))
     return records
+
+
+def spin_dims(n: int, k: int) -> list[int]:
+    """Multiplicity of total spin S = n/2 - t in sector k, ascending S:
+    C(n, t) - C(n, t-1) for t = min(k, n-k), ..., 0 (adding spins 1/2)."""
+    return [math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+            for t in range(min(k, n - k), -1, -1)]
 
 
 def random_spec(n: int, rng: np.random.Generator) -> CouplingSpec:

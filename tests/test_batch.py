@@ -1,8 +1,9 @@
 """Batched layers against their batch of one, bit for bit.
 
 feature_rows, label_rows and amplitude_rows take a batch of specs; the
-single-sample calls are batches of one.  Dense sectors are diagonalized in
-stacks of hamiltonians.EIGH_STACK_ENTRIES entries, so batches just below,
+single-sample calls are batches of one.  Dense sectors are diagonalized
+per total-spin block, in stacks of samples whose blocks hold at most
+hamiltonians.EIGH_STACK_ENTRIES entries, so batches just below,
 at and above a stack boundary must give every row exactly as the sample
 alone does, across n = 4, 6, 8 (dense stacks) and n = 10 (Lanczos beside
 stacks), states on several sectors with phases ±1 and ±i, every backend
@@ -20,7 +21,8 @@ from hamfourier.labels import FunctionSpec, label, label_rows
 from hamfourier.pipeline import ExperimentConfig, cmd_features, json_17g
 from hamfourier.states import basis_state, domain_wall
 
-from conftest import dense_measure, random_sector_state, random_spec, superpose
+from conftest import (dense_measure, random_sector_state, random_spec,
+                      spin_dims, superpose)
 
 STACK = 3  # samples per stack of the largest dense sector (through the constant)
 K, C = 3, 3.0
@@ -47,17 +49,24 @@ def mixed_states(n, rng):
     }
 
 
-def largest_dense_dim(n, psi):
-    return max((d for k in hm.occupied_magnetizations(n, psi.amplitudes)
-                if (d := math.comb(n, k)) < hm.LANCZOS_MIN_DIM), default=1)
+def spin_entries(n, k):
+    """Entries of one sample's spin blocks in sector k: sum_S d_S²."""
+    return sum(d * d for d in spin_dims(n, k))
+
+
+def largest_dense_entries(n, psi):
+    return max((spin_entries(n, k)
+                for k in hm.occupied_magnetizations(n, psi.amplitudes)
+                if math.comb(n, k) < hm.LANCZOS_MIN_DIM), default=1)
 
 
 @pytest.fixture
 def small_stacks(monkeypatch):
-    """Stacks of STACK samples for a given sector dimension."""
-    def set_dim(d):
-        monkeypatch.setattr(hm, "EIGH_STACK_ENTRIES", STACK * d * d)
-    return set_dim
+    """Stacks of STACK samples for a sector with the given spin-block
+    entries per sample."""
+    def set_entries(entries):
+        monkeypatch.setattr(hm, "EIGH_STACK_ENTRIES", STACK * entries)
+    return set_entries
 
 
 CONFIGS = {  # every backend with and without a schedule
@@ -73,7 +82,7 @@ CONFIGS = {  # every backend with and without a schedule
 def test_feature_rows_equal_single_samples(n, rng, small_stacks):
     specs = [random_spec(n, rng) for _ in range(2 * STACK + 3)]
     for name, psi in mixed_states(n, rng).items():
-        small_stacks(largest_dense_dim(n, psi))
+        small_stacks(largest_dense_entries(n, psi))
         singles = {key: np.array([feature_vector(s, psi, cfg, b + 40)
                                   for b, s in enumerate(specs)])
                    for key, cfg in CONFIGS.items()}
@@ -94,7 +103,7 @@ def test_label_rows_equal_single_samples(n, rng, small_stacks):
     if n < 10:  # a step is dense in every sector; n = 10 adds Lanczos ones
         targets.append(FunctionSpec("step", C, 0.1))
     for name, psi in mixed_states(n, rng).items():
-        small_stacks(largest_dense_dim(n, psi))
+        small_stacks(largest_dense_entries(n, psi))
         for fspec in targets:
             singles = np.array([label(s, psi, fspec) for s in specs])
             for size in batch_sizes(STACK):
@@ -104,12 +113,13 @@ def test_label_rows_equal_single_samples(n, rng, small_stacks):
 
 
 def test_default_stack_boundaries(rng):
-    # the real constant at n = 8: the half-filled sector (d = 70) stacks
-    # 6 samples, the k = 3 one (d = 56) 10
+    # the real constant at n = 8: the half-filled sector (d = 70, spin
+    # blocks 14/28/20/7/1) stacks 22 samples, the k = 3 one (28/20/7/1) 26
     psi = superpose(domain_wall(8), basis_state(8, "00000111"), 1j)
     cfg = FeatureMapConfig(K=K, C=C, backend="hadamard-shots", n_shot=20,
                            seed=2)
-    stack = hm.EIGH_STACK_ENTRIES // 70**2
+    stack = hm.EIGH_STACK_ENTRIES // spin_entries(8, 4)
+    assert stack == 22 and hm.EIGH_STACK_ENTRIES // spin_entries(8, 3) == 26
     specs = [random_spec(8, rng) for _ in range(2 * stack + 3)]
     singles = np.array([feature_vector(s, psi, cfg, b)
                         for b, s in enumerate(specs)])
@@ -124,7 +134,7 @@ def test_default_stack_boundaries(rng):
 
 @pytest.mark.parametrize("n", [6, 10])
 def test_batch_matches_dense_oracle(n, rng, small_stacks):
-    small_stacks(20)
+    small_stacks(spin_entries(6, 3))
     times = np.arange(K + 1) * np.pi / C
     specs = [random_spec(n, rng) for _ in range(2 * STACK + 3)]
     for psi in mixed_states(n, rng).values():

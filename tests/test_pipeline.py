@@ -593,6 +593,10 @@ class TestCli:
                   "{tmp}/missing.csv"], "missing.csv not found"),
         (["features", *SIZE, "--in", "{tmp}/missing.jsonl", "--out",
           "{tmp}/f2.csv"], "No such file or directory"),
+        (["generate", "--config", "{cut_json}", "--out", "{tmp}/g.jsonl"],
+         "is not valid JSON"),
+        (["generate", "--config", "{list_json}", "--out", "{tmp}/g.jsonl"],
+         "holds no JSON object"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
@@ -606,7 +610,8 @@ class TestCli:
         records = small_dataset.read_text().splitlines(keepends=True)
         rows = files["feats"].read_text().splitlines(keepends=True)
         for name, text in (("data7", records[:7]), ("feats5", rows[:6]),
-                           ("data1", records[:1]), ("feats1", rows[:2])):
+                           ("data1", records[:1]), ("feats1", rows[:2]),
+                           ("cut_json", '{"n": 4,'), ("list_json", "[1]")):
             files[name] = tmp_path / name
             files[name].write_text("".join(text))
         rc = main([arg.format(**files) for arg in argv])

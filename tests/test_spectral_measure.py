@@ -7,8 +7,11 @@ single-sector, multi-sector and complex (phase ±i) states, and every
 record must carry its certificate.
 Sectors below LANCZOS_MIN_DIM take the dense path, so Lanczos itself runs
 at n = 10 and 12 (and at n = 8 nowhere: its largest sector has d = 70).
+The dense path diagonalizes each sector per total-spin block; the blocks
+are checked against the whole-sector oracle at n = 2..10 in every sector.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,14 +23,17 @@ from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
     LANCZOS_TOL,
     ConfigError,
+    _spin_blocks,
     sector_eigensystem,
+    sector_matrix,
     sector_states,
     spectral_measures,
 )
 from hamfourier.labels import FunctionSpec, label
 from hamfourier.states import StateVector, basis_state, domain_wall
 
-from conftest import dense_measure, random_sector_state, random_spec, superpose
+from conftest import (dense_measure, random_sector_state, random_spec,
+                      spin_dims, superpose)
 
 K, C = 11, 3.0
 TIMES = np.arange(K + 1) * np.pi / C
@@ -119,14 +125,40 @@ def test_features_use_one_measure(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 8])
-def test_step_label_is_dense_bit_for_bit(n, rng):
+def test_step_label_matches_dense(n, rng):
+    # every threshold clears the spectrum, so 1e-12 cannot hide a flipped node
     spec = random_spec(n, rng)
     for psi in sweep_states(n, rng).values():
+        dense = dense_measure(spec, psi)
         for threshold in (-0.4, 0.1, 0.9):
+            assert min(np.min(np.abs(evals - threshold))
+                       for evals, _ in dense) > 1e-9
             fspec = FunctionSpec("step", C, threshold)
-            dense = float(sum(np.sum(p * fspec(evals))
-                              for evals, p in dense_measure(spec, psi)))
-            assert label(spec, psi, fspec) == dense
+            y_dense = sum(np.sum(p * fspec(evals)) for evals, p in dense)
+            assert abs(label(spec, psi, fspec) - y_dense) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_spin_blocks_split_every_sector(n, rng):
+    # odd n too: there S is a half-integer, and S = 1/2 must stay one block
+    spec = random_spec(n, rng)
+    for k in range(n + 1):
+        basis = sector_states(n, k)
+        blocks = [q for q, _ in _spin_blocks(n, k)]
+        dims = [q.shape[1] for q in blocks]
+        assert dims == spin_dims(n, k) and sum(dims) == basis.dim, k
+        q = np.concatenate(blocks, axis=1)
+        assert np.max(np.abs(q.T @ q - np.eye(basis.dim))) <= 1e-12, k
+        h = sector_matrix(spec, basis)
+        for a, b in itertools.combinations(blocks, 2):
+            assert np.max(np.abs(a.T @ h @ b)) <= 1e-12, k
+        psi = random_sector_state(n, k, rng)
+        (rec,) = spectral_measures([spec], psi)
+        ((evals, p),) = dense_measure(spec, psi)
+        assert np.max(np.abs(np.sort(rec.eigenvalues[0]) - evals)) <= 1e-12, k
+        a = np.exp(-1j * np.outer(TIMES, rec.eigenvalues[0])) @ rec.probabilities[0]
+        a_dense = np.exp(-1j * np.outer(TIMES, evals)) @ p
+        assert np.max(np.abs(a - a_dense)) <= 1e-12, k
 
 
 def test_sector_pattern_is_cached_and_read_only():
