@@ -12,7 +12,6 @@ from .evolution import (
     amplitude_rows,
     amplitudes,
     exact_evolve,
-    heisenberg_gate,
     trotter_evolve,
 )
 from .features import (

@@ -7,17 +7,18 @@ exact_evolve (dense sector eigh) is the tests' reference for both.
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
-for H_even (m = 0, 2, ...), so each group exponentiates as a product of
-closed-form two-qubit gates.  One step with dt = t/n_step is
+for H_even (m = 0, 2, ...).  One step with dt = t/n_step is
 
     exp(-i dt/2 H_odd) · exp(-i dt H_even) · exp(-i dt/2 H_odd)
 
-repeated n_step times.  Every gate conserves magnetization, so the circuit
-runs on ψ's occupied sectors with all times in one pass: each component is
-a (d, K+1) array, one column per t_l, and step s gives θ = 0 (the exact
-identity) to the columns with schedule[l] <= s.  A bond gate is two row
-operations: rows with equal bits m, m+1 pick up e^{-iθ}, flip rows mix with
-their partners.  Cost per sample: O(max schedule · bonds · d · K).
+and the last odd half of a step merges with the first of the next, so s
+steps are 2s+1 layers.  With P_m = X X + Y Y + Z Z = 1 - 4Π_m (Π_m projects
+on bond m's singlet), a gate e^{-iθP_m} = e^{-iθ}(1 + (e^{4iθ} - 1)Π_m) is
+one update per flip pair (a, b) of bond m; every gate's e^{-iθ} is deferred
+to one phase per time.  Gates conserve magnetization, so the circuit runs
+on ψ's occupied sectors with all times in one pass: a (d, K+1) component,
+one column per t_l, where θ = 0 (the identity) once schedule[l] steps are
+done.  Cost per sample: O(max schedule · bonds · d · K).
 """
 
 from __future__ import annotations
@@ -36,46 +37,35 @@ from .hamiltonians import (
 from .states import StateVector
 
 
-def heisenberg_gate(j, dt) -> np.ndarray:
-    """exp(-i·θ·(XX+YY+ZZ)) with θ = j·dt, in closed form; array j or dt
-    broadcast to a stack of gates of shape θ.shape + (4, 4).
-
-    |00> and |11> pick up e^{-iθ}; on span{|01>, |10>} the bond term is
-    -I + 2·SWAP, giving the block e^{+iθ}(cos 2θ · I - i sin 2θ · SWAP).
-    """
-    theta = np.multiply(j, dt)
-    u = np.zeros(theta.shape + (4, 4), dtype=complex)
-    u[..., 0, 0] = u[..., 3, 3] = np.exp(-1j * theta)
-    mid = np.exp(1j * theta)
-    u[..., 1, 1] = u[..., 2, 2] = mid * np.cos(2 * theta)
-    u[..., 1, 2] = u[..., 2, 1] = mid * (-1j) * np.sin(2 * theta)
-    return u
-
-
 def _strang_sectors(spec: CouplingSpec, vec: np.ndarray, times, steps):
     """The Strang circuit with steps[l] steps of dt = times[l]/steps[l], for
     all l in one pass: per occupied sector of vec, (basis states, component
     c, V) with V[:, l] the evolved component for time l."""
-    n, j = spec.n, np.asarray(spec.couplings)
-    steps = np.asarray(steps)
+    n, j, steps = spec.n, np.asarray(spec.couplings), np.asarray(steps)
     dt = np.asarray(times, dtype=float) / steps
-    order = [*range(1, n - 1, 2), *range(0, n - 1, 2), *range(1, n - 1, 2)]
-    sweep = []  # (bond, its gates over l) in circuit order; θ = 0 when done
-    for s in range(steps.max()):
-        dt_s = np.where(steps > s, dt, 0.0)
-        half, full = heisenberg_gate(j[:, None], dt_s / 2), heisenberg_gate(
-            j[:, None], dt_s)
-        sweep += [(m, (half if m % 2 else full)[m]) for m in order]
+    odd, even = range(1, n - 1, 2), range(0, n - 1, 2)
+    live = (steps > np.arange(steps.max() + 1)[:, None]) * dt  # [s, l]: dt or 0
+    layers = [(odd, live[0] / 2)]  # (bonds, each column's time step)
+    for s in range(steps.max()):  # step s's last odd half meets s+1's first
+        layers += [(even, live[s]), (odd, (live[s] + live[s + 1]) / 2)]
+    gates = [m for bonds, _ in layers for m in bonds]
+    theta = np.array([j[m] * tau for bonds, tau in layers for m in bonds])
+    coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2c·Π)
+    phase = np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}, deferred
     for k in occupied_magnetizations(n, vec):
         basis, _, rows, cols, bonds = _sector_pattern(n, k)
-        cut = np.searchsorted(bonds, np.arange(n))  # bond m: cut[m]:cut[m+1]
+        lo = cols < rows  # each flip pair once: a = |..01..> below b = |..10..>
+        a, b, cut = cols[lo], rows[lo], np.searchsorted(bonds[lo], np.arange(n))
+        pairs = [np.stack([a[f], b[f]]) for f in map(slice, cut[:-1], cut[1:])]
         c = vec[basis.states]
         v = np.repeat(c[:, None], len(dt), axis=1)
-        for m, u in sweep:  # flip rows mix with partners, the rest get e^{-iθ}
-            f = slice(cut[m], cut[m + 1])
-            mixed = u[:, 1, 1] * v[cols[f]] + u[:, 1, 2] * v[rows[f]]
-            v *= u[:, 0, 0]
-            v[cols[f]] = mixed
+        for m, cm in zip(gates, coeff):  # Π_m v = (v_a - v_b)(a - b)/2
+            w = v.take(pairs[m], axis=0)  # (2, pairs, K+1): a rows, b rows
+            d = (w[0] - w[1]) * cm
+            w[0] += d
+            w[1] -= d
+            v[pairs[m]] = w
+        v *= phase
         yield basis.states, c, v
 
 

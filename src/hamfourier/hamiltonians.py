@@ -33,6 +33,9 @@ LANCZOS_STEP = 8
 #: K=11 features/exp label, median of 3 runs), dense vs Lanczos: d=70 0.36/
 #: 0.32 vs 1.8/0.85; d=126 1.0/0.98 vs 1.5/0.70; d=252 3.5/3.6 vs 2.0/0.80.
 LANCZOS_MIN_DIM = 100
+#: Largest spin-block cache (Q and bond operators) of one dense sector; its
+#: build peaks near 3x: n=14 at half filling keeps 372 MB (peak 1,052 MB).
+SPIN_BLOCK_BYTES_CAP = 10**9
 #: Dense sectors go through eigh in stacks of EIGH_STACK_ENTRIES // sum_S
 #: d_S² samples (22 at d=70, 248 at d=20, one at d=924), so a stack's spin
 #: blocks, eigenvectors and their complex copy stay near 1 MiB.
@@ -216,6 +219,13 @@ def _spin_blocks(n: int, magnetization: int):
     SWAP_ij + n(4-n)/4, so Q_Sᵀ H Q_S' = 0 for S != S' (Weiße & Fehske,
     Lect. Notes Phys. 739, 2008).  Eigenspaces are told apart by 2S, an
     integer (S itself is a half-integer at odd n)."""
+    dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2 - t
+            for t in range(min(magnetization, n - magnetization) + 1)]
+    size = 8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2)  # bytes
+    if size > SPIN_BLOCK_BYTES_CAP:
+        raise ConfigError(f"dense sector (n={n}, magnetization={magnetization})"
+                          f" needs {size / 1e9:.1f} GB of spin blocks > cap "
+                          f"{SPIN_BLOCK_BYTES_CAP / 1e9:g} GB")
     basis, signs, rows, cols, bonds = _sector_pattern(n, magnetization)
     states, ones = basis.states, magnetization
     p, q = np.triu_indices(n, 1)  # bit positions of the qubit pairs

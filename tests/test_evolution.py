@@ -5,7 +5,6 @@ from scipy.linalg import expm
 from hamfourier.evolution import (
     amplitudes,
     exact_evolve,
-    heisenberg_gate,
     trotter_evolve,
 )
 from hamfourier.features import FeatureMapConfig
@@ -33,6 +32,15 @@ from conftest import (
 )
 
 BOND = dense_hamiltonian(CouplingSpec(n=2, couplings=(1.0,)))  # XX+YY+ZZ, 4x4
+
+
+def heisenberg_gate(j, dt):
+    """exp(-i·j·dt·(XX+YY+ZZ)) as the kernel applies it: the n=2 Strang
+    circuit with one step is the single gate of its one (even) bond."""
+    spec = CouplingSpec(n=2, couplings=(j,))
+    return np.column_stack([
+        trotter_evolve(spec, StateVector(n=2, amplitudes=e), dt, 1).amplitudes
+        for e in np.eye(4, dtype=complex)])
 
 
 class TestHeisenbergGate:
@@ -119,7 +127,7 @@ class TestTrotterEvolve:
             assert int(idx).bit_count() == 2
 
     def test_invalid_step_count(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="n_step must be >= 1, got 0"):
             trotter_evolve(random_spec(4, rng), domain_wall(4), 1.0, 0)
 
 
@@ -146,12 +154,15 @@ def multi_sector_state(n, rng):
 
 
 class TestStrangKernel:
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
     def test_matches_kronecker_circuit(self, rng, n):
+        # columns finish after 1..4 steps, so each merged odd layer runs
+        # with both halves, with the first only and with neither; n=2 has
+        # no odd bond
         spec = random_spec(n, rng)
         psi = multi_sector_state(n, rng)
-        times = np.array([0.0, 2.3, 0.9, 3.7])
-        schedule = (3, 1, 2, 1)
+        times = np.array([0.0, 1.1, 2.3, 0.9, 3.7, 2.9])
+        schedule = (2, 1, 2, 3, 4, 4)
         oracles = [strang_oracle(spec, t, s)
                    for t, s in zip(times, schedule)]
         for t, s, u in zip(times, schedule, oracles):
@@ -163,11 +174,10 @@ class TestStrangKernel:
         np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
                                    expected, rtol=0, atol=1e-13)
 
-    def test_broadcast_gate_equals_scalar_gates(self, rng):
-        j = rng.uniform(-1, 1, size=5)
-        dt = np.concatenate([[0.0], rng.uniform(-4, 4, size=6)])
-        stacked = np.array([[heisenberg_gate(a, b) for b in dt] for a in j])
-        np.testing.assert_array_equal(heisenberg_gate(j[:, None], dt), stacked)
+    def test_unit_norm_at_12_qubits(self, rng):
+        out = trotter_evolve(random_spec(12, rng), random_dense_state(12, rng),
+                             3.7, 3)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-14
 
 
 class TestExactEvolve:

@@ -597,6 +597,8 @@ class TestCli:
          "is not valid JSON"),
         (["generate", "--config", "{list_json}", "--out", "{tmp}/g.jsonl"],
          "holds no JSON object"),
+        (["generate", "--n", "16", "--num", "1", "--f", "step", "--out",
+          "{tmp}/g.jsonl"], "needs 5.6 GB of spin blocks > cap 1 GB"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):

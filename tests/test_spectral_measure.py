@@ -167,6 +167,16 @@ def test_sector_pattern_is_cached_and_read_only():
     assert not basis.states.flags.writeable
 
 
+def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):
+    # an n=16 step label would cache 5.6 GB of spin blocks: refused before
+    # anything is built, so the cache does not change
+    before = _spin_blocks.cache_info().currsize
+    step = FunctionSpec("step", C, 0.1)
+    with pytest.raises(ConfigError, match=r"needs 5\.6 GB of spin blocks"):
+        label(random_spec(16, rng), domain_wall(16), step)
+    assert _spin_blocks.cache_info().currsize == before
+
+
 def test_lanczos_respects_sector_cap(rng):
     spec = random_spec(18, rng)
     psi = random_sector_state(18, 9, rng)
