@@ -7,11 +7,10 @@ Run:  python demos/01_spin_chains.py
 import numpy as np
 
 from hamfourier import (
-    apply_hamiltonian,
     basis_state,
     sample_couplings,
-    sector_eigensystem,
     spectral_bound,
+    spectral_measures,
 )
 
 rng = np.random.default_rng(1)
@@ -23,16 +22,18 @@ print("sum |J_m| =", sum(abs(j) for j in spec.couplings))
 print("certified ||H|| bound:", spectral_bound(spec))
 
 print("\n=== the all-zeros state is an eigenvector ===")
-e0 = basis_state(12, "0" * 12)
-hv = apply_hamiltonian(spec, e0)
+(rec,) = spectral_measures([spec], basis_state(12, "0" * 12))
 lam = sum(spec.couplings)
 print("H|0...0> = lambda |0...0> with lambda =", lam)
-print("residual:", np.linalg.norm(hv - lam * e0.amplitudes))
+print(f"its spectral measure: {rec.depth} eigenvalue {rec.eigenvalues[0, 0]}"
+      f" with weight {rec.probabilities[0, 0]}")
 
 print("\n=== sector-block diagonalization ===")
 for magnetization in (0, 1, 6):
-    evals, _, basis = sector_eigensystem(spec, magnetization)
-    print(f"magnetization {magnetization}: dim {basis.dim:4d}, "
-          f"spectrum in [{evals[0]:+.4f}, {evals[-1]:+.4f}]")
+    # a dense record holds every eigenvalue of the state's sector
+    bits = "1" * magnetization + "0" * (12 - magnetization)
+    (rec,) = spectral_measures([spec], basis_state(12, bits))
+    print(f"magnetization {magnetization}: dim {rec.depth:4d}, spectrum in "
+          f"[{rec.eigenvalues.min():+.4f}, {rec.eigenvalues.max():+.4f}]")
 print("every eigenvalue respects the certified bound of",
       spectral_bound(spec))

@@ -1,7 +1,8 @@
 """Exact spectral propagation vs second-order Trotter splitting.
 
-Shows energy conservation under exact evolution and the O(dt^2) global
-error of the Strang product formula.
+Shows that the spectral measure fixes the energy, which generates the
+exact amplitude A(t) = <psi|e^{-iHt}|psi>, and the O(dt^2) error of the
+Strang product formula in A(t).
 
 Run:  python demos/02_time_evolution.py
 """
@@ -9,31 +10,33 @@ Run:  python demos/02_time_evolution.py
 import numpy as np
 
 from hamfourier import (
-    apply_hamiltonian,
+    amplitudes,
     domain_wall,
-    exact_evolve,
     sample_couplings,
-    trotter_evolve,
+    spectral_measures,
 )
 
 rng = np.random.default_rng(2)
 spec = sample_couplings(8, rng)
 psi = domain_wall(8)
 
-print("=== exact evolution conserves energy ===")
-e0 = np.vdot(psi.amplitudes, apply_hamiltonian(spec, psi)).real
-for t in (0.5, 2.0, 8.0):
-    vt = exact_evolve(spec, psi, t)
-    et = np.vdot(vt.amplitudes, apply_hamiltonian(spec, vt)).real
-    print(f"t = {t:4.1f}:  <H> = {et:+.12f}   (t=0 value {e0:+.12f})")
+print("=== the spectral measure fixes the energy ===")
+(rec,) = spectral_measures([spec], psi)
+energy = rec.eigenvalues[0] @ rec.probabilities[0]
+print(f"<H> = sum_l p_l lambda_l = {energy:+.12f}; the weights p_l do not "
+      "change in time, so neither does <H>")
+dt = 1e-4
+a_minus, a_plus = amplitudes(spec, psi, [-dt, dt])
+print(f"i dA/dt at t=0 (central difference) = "
+      f"{(1j * (a_plus - a_minus) / (2 * dt)).real:+.12f}")
 
 print("\n=== Strang splitting converges at second order ===")
 t = 1.5
-exact = exact_evolve(spec, psi, t).amplitudes
-print(f"{'n_step':>7} {'l2 error':>12} {'ratio':>7}")
+exact = amplitudes(spec, psi, t)[0]
+print(f"{'n_step':>7} {'|A error|':>12} {'ratio':>7}")
 prev = None
 for n_step in (2, 4, 8, 16, 32, 64):
-    err = np.linalg.norm(exact - trotter_evolve(spec, psi, t, n_step).amplitudes)
+    err = abs(exact - amplitudes(spec, psi, t, (n_step,))[0])
     ratio = "" if prev is None else f"{prev / err:7.2f}"
     print(f"{n_step:7d} {err:12.3e} {ratio:>7}")
     prev = err

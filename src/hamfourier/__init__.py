@@ -11,7 +11,6 @@ from .bounds import (
 from .evolution import (
     amplitude_rows,
     amplitudes,
-    exact_evolve,
     trotter_evolve,
 )
 from .features import (
@@ -27,11 +26,8 @@ from .features import (
 from .hamiltonians import (
     ConfigError,
     CouplingSpec,
-    SectorBasis,
     SpectralMeasure,
-    apply_hamiltonian,
     sample_couplings,
-    sector_eigensystem,
     spectral_bound,
     spectral_measures,
 )

@@ -2,8 +2,8 @@
 feature map: amplitude_rows(specs, ψ, times, schedule) = <ψ|U(t_l)|ψ> for
 a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt} from
 one spectral measure of ψ per sample (hamiltonians.spectral_measures) or,
-when a schedule is given, the Strang circuit with schedule[l] steps.
-exact_evolve (dense sector eigh) is the tests' reference for both.
+when a schedule is given, the Strang circuit with schedule[l] steps
+(trotter_evolve: the circuit on a state, for one time).
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -14,7 +14,8 @@ for H_even (m = 0, 2, ...).  One step with dt = t/n_step is
 and the last odd half of a step merges with the first of the next, so s
 steps are 2s+1 layers.  With P_m = X X + Y Y + Z Z = 1 - 4Π_m (Π_m projects
 on bond m's singlet), a gate e^{-iθP_m} = e^{-iθ}(1 + (e^{4iθ} - 1)Π_m) is
-one update per flip pair (a, b) of bond m; every gate's e^{-iθ} is deferred
+one update per flip pair (a, b) of bond m, read from the sector's cached
+pattern (hamiltonians._sector_pattern); every gate's e^{-iθ} is deferred
 to one phase per time.  Gates conserve magnetization, so the circuit runs
 on ψ's occupied sectors with all times in one pass: a (d, K+1) component,
 one column per t_l, where θ = 0 (the identity) once schedule[l] steps are
@@ -31,7 +32,6 @@ from .hamiltonians import (
     _sector_pattern,
     _state_array,
     occupied_magnetizations,
-    sector_eigensystem,
     spectral_sum,
 )
 from .states import StateVector
@@ -53,20 +53,18 @@ def _strang_sectors(spec: CouplingSpec, vec: np.ndarray, times, steps):
     coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2c·Π)
     phase = np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}, deferred
     for k in occupied_magnetizations(n, vec):
-        basis, _, rows, cols, bonds = _sector_pattern(n, k)
-        lo = cols < rows  # each flip pair once: a = |..01..> below b = |..10..>
-        a, b, cut = cols[lo], rows[lo], np.searchsorted(bonds[lo], np.arange(n))
-        pairs = [np.stack([a[f], b[f]]) for f in map(slice, cut[:-1], cut[1:])]
-        c = vec[basis.states]
+        states, _, pairs, cut = _sector_pattern(n, k)
+        c = vec[states]
         v = np.repeat(c[:, None], len(dt), axis=1)
         for m, cm in zip(gates, coeff):  # Π_m v = (v_a - v_b)(a - b)/2
-            w = v.take(pairs[m], axis=0)  # (2, pairs, K+1): a rows, b rows
+            ab = pairs[:, cut[m]:cut[m + 1]]  # bond m's a row and b row
+            w = v.take(ab, axis=0)  # (2, pairs, K+1): a rows, b rows
             d = (w[0] - w[1]) * cm
             w[0] += d
             w[1] -= d
-            v[pairs[m]] = w
+            v[ab] = w
         v *= phase
-        yield basis.states, c, v
+        yield states, c, v
 
 
 def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
@@ -83,21 +81,6 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
                                               [t], [n_step]):
         out[states] = evolved[:, 0]
     return StateVector(n=spec.n, amplitudes=out)
-
-
-def exact_evolve(spec: CouplingSpec, v: StateVector, t: float) -> StateVector:
-    """exp(-iHt)·v through the sector eigendecompositions.
-
-    Each occupied sector evolves independently; empty sectors (exact zeros)
-    are skipped, so superpositions of a few sectors stay cheap.
-    """
-    n = spec.n
-    out = np.zeros(2**n, dtype=complex)
-    for k in occupied_magnetizations(n, v.amplitudes):
-        evals, evecs, basis = sector_eigensystem(spec, k)
-        coeff = evecs.T @ v.amplitudes[basis.states]
-        out[basis.states] = evecs @ (np.exp(-1j * evals * t) * coeff)
-    return StateVector(n=n, amplitudes=out)
 
 
 def amplitude_rows(specs, psi: StateVector, times,

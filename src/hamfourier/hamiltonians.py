@@ -8,7 +8,9 @@ int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
 popcount), which lets us work on one sector block at a time instead of
 the full 2^n matrix, for a batch of specs at once (spectral_measures): by
 certified Lanczos quadrature from matrix-free H·v or by stacked dense eigh
-per total-spin block ([H, S²] = 0).  sector_eigensystem is the tests' oracle.
+per total-spin block ([H, S²] = 0).  Every sector kernel (H·v, the spin
+blocks, the Strang gates of evolution) reads one cached pattern per sector:
+its basis, its Z Z signs and its bonds' flip pairs.
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ class CouplingSpec:
 
 
 @dataclass(frozen=True)
-class SectorBasis:
-    """Canonically ordered basis of one magnetization sector.
-
-    states holds the basis bitstrings as integers, strictly ascending; the
-    position of integer s is its row/column in the sector block.
-    """
-
-    n: int
-    magnetization: int
-    states: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
 class SpectralMeasure:
     """Measures of a state ψ on one sector for b samples of a batch, one row
     each: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>, arrays of shape (b, depth).
@@ -139,75 +124,51 @@ def _state_array(specs, v) -> np.ndarray:
     return vec
 
 
-def apply_hamiltonian(spec: CouplingSpec, v) -> np.ndarray:
-    """Matrix-free H·v over the full 2^n space, one sector block at a time,
-    so components never leave their magnetization sector."""
-    vec = _state_array([spec], v)
-    out = np.zeros(2**spec.n, dtype=complex)
-    for k in occupied_magnetizations(spec.n, vec):
-        basis, apply = _sector_operator(spec, k)
-        out[basis.states] = apply(vec[basis.states])
-    return out
-
-
 @functools.lru_cache(maxsize=32)
 def _sector_pattern(n: int, magnetization: int):
     """Coupling-independent structure of one sector block, built once per
-    (n, magnetization) and read-only: the basis, the Z_m Z_{m+1} sign of
-    every bond on every basis state (shape (n-1, d)), and the (rows, cols,
-    bonds) entries of the bond flips |01> <-> |10>."""
-    if not 0 <= magnetization <= n:
-        raise ConfigError(f"magnetization {magnetization} outside 0..{n}")
+    (n, magnetization) and read-only: the basis states (ascending integers;
+    the position of a state is its row in the block), the Z_m Z_{m+1} sign
+    of every bond on every state (shape (n-1, d)), the flip pairs (a, b) of
+    every bond, a = |..01..> and b = |..10..> on qubits m, m+1, ascending
+    within a bond and the bonds in order (shape (2, P): the a row and the b
+    row), and offsets cut with bond m's pairs at pairs[:, cut[m]:cut[m+1]]."""
     states = np.array(sorted(
         sum(1 << (n - 1 - q) for q in ones)
         for ones in combinations(range(n), magnetization)
     ), dtype=np.int64)
     bits = (states >> (n - 1 - np.arange(n))[:, None]) & 1  # bits[q] = qubit q
-    differ = bits[:-1] != bits[1:]
-    signs = np.where(differ, -1.0, 1.0)
-    bonds, cols = np.nonzero(differ)
-    rows = np.searchsorted(states, states[cols] ^ (3 << (n - 2 - bonds)))
-    for arr in (states, signs, rows, cols, bonds):
+    signs = np.where(bits[:-1] != bits[1:], -1.0, 1.0)
+    bonds, a = np.nonzero(bits[:-1] < bits[1:])  # |01> on qubits m, m+1
+    b = np.searchsorted(states, states[a] ^ (3 << (n - 2 - bonds)))
+    pairs, cut = np.stack([a, b]), np.searchsorted(bonds, np.arange(n))
+    for arr in (states, signs, pairs, cut):
         arr.flags.writeable = False
-    return SectorBasis(n, magnetization, states), signs, rows, cols, bonds
-
-
-def _check_dim(n: int, magnetization: int) -> None:
-    if (dim := math.comb(n, magnetization)) > SECTOR_DIM_CAP:
-        raise ConfigError(f"sector (n={n}, magnetization={magnetization})"
-                          f" has dimension {dim} > cap {SECTOR_DIM_CAP}")
+    return states, signs, pairs, cut
 
 
 def _sector_operator(spec: CouplingSpec, magnetization: int):
-    """(basis, x -> H·x) of one sector block, matrix-free: per bond, Z Z adds
-    ±J_m on the diagonal (+ for equal bits) and X X + Y Y swaps |01> <-> |10>
+    """x -> H·x on one sector block, matrix-free: per bond, Z Z adds ±J_m on
+    the diagonal (+ for equal bits) and X X + Y Y swaps each flip pair
     with amplitude 2 J_m, all bonds in one bincount."""
-    basis, signs, rows, cols, bonds = _sector_pattern(spec.n, magnetization)
+    _, signs, pairs, cut = _sector_pattern(spec.n, magnetization)
     j = np.asarray(spec.couplings)
-    diag, vals = (j[:, None] * signs).sum(axis=0), 2.0 * j[bonds]
+    diag = (j[:, None] * signs).sum(axis=0)
+    vals = np.repeat(2.0 * j, 2 * np.diff(cut))  # both entries of each pair
+    # bond by bond, its a's then its b's: each row's terms stay in bond
+    # order, and each half reads and writes ascending indices
+    bonds = [pairs[:, lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
+    rows = np.concatenate(bonds, axis=None)
+    cols = np.concatenate([ab[::-1] for ab in bonds], axis=None)
 
     def hop(part):
-        return np.bincount(rows, vals * part[cols], minlength=basis.dim)
+        return np.bincount(rows, vals * part[cols], minlength=len(diag))
 
     def apply(x):  # bincount weights are real: phases ±i need two passes
         out = diag * x + hop(x.real)
         return out + 1j * hop(x.imag) if np.iscomplexobj(x) else out
 
-    return basis, apply
-
-
-def sector_states(n: int, magnetization: int) -> SectorBasis:
-    """Ascending integer basis of the popcount-k sector (cached)."""
-    return _sector_pattern(n, magnetization)[0]
-
-
-def sector_matrix(spec: CouplingSpec, basis: SectorBasis) -> np.ndarray:
-    """Dense real-symmetric block of H on one magnetization sector."""
-    _, signs, rows, cols, bonds = _sector_pattern(spec.n, basis.magnetization)
-    j = np.asarray(spec.couplings)
-    mat = np.diag((j[:, None] * signs).sum(axis=0))
-    mat[rows, cols] += 2.0 * j[bonds]
-    return mat
+    return apply
 
 
 @functools.lru_cache(maxsize=32)
@@ -226,11 +187,12 @@ def _spin_blocks(n: int, magnetization: int):
         raise ConfigError(f"dense sector (n={n}, magnetization={magnetization})"
                           f" needs {size / 1e9:.1f} GB of spin blocks > cap "
                           f"{SPIN_BLOCK_BYTES_CAP / 1e9:g} GB")
-    basis, signs, rows, cols, bonds = _sector_pattern(n, magnetization)
-    states, ones = basis.states, magnetization
+    states, signs, pairs, cut = _sector_pattern(n, magnetization)
+    ones, (a, b) = magnetization, pairs
+    bonds = np.repeat(np.arange(n - 1), np.diff(cut))  # each pair's bond
     p, q = np.triu_indices(n, 1)  # bit positions of the qubit pairs
     pair, col = np.nonzero((states >> p[:, None] ^ states >> q[:, None]) & 1)
-    s2 = np.eye(basis.dim) * (len(p) - ones * (n - ones) + n * (4 - n) / 4)
+    s2 = np.eye(len(states)) * (len(p) - ones * (n - ones) + n * (4 - n) / 4)
     s2[np.searchsorted(states, states[col] ^ (1 << p | 1 << q)[pair]), col] = 1
     evals, vecs = np.linalg.eigh(s2)  # S(S+1), ascending
     vecs.flags.writeable = False  # and so are its views, the Q_S
@@ -238,19 +200,11 @@ def _spin_blocks(n: int, magnetization: int):
     blocks = []
     for q_s in np.split(vecs, np.flatnonzero(np.diff(two_s)) + 1, axis=1):
         pq = signs[:, :, None] * q_s  # P_m Q_S for every bond m
-        pq[bonds, rows] += 2.0 * q_s[cols]
+        pq[bonds, a] += 2.0 * q_s[b]
+        pq[bonds, b] += 2.0 * q_s[a]
         blocks.append((q_s, q_s.T @ pq))
         blocks[-1][1].flags.writeable = False
     return tuple(blocks)
-
-
-def sector_eigensystem(spec: CouplingSpec, magnetization: int):
-    """Eigendecomposition (ascending eigenvalues, orthonormal columns) of the
-    sector block, together with its basis."""
-    _check_dim(spec.n, magnetization)
-    basis = sector_states(spec.n, magnetization)
-    evals, evecs = np.linalg.eigh(sector_matrix(spec, basis))
-    return evals, evecs, basis
 
 
 def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
@@ -271,10 +225,11 @@ def spectral_measures(specs, v, integrand=None):
     n, vec = specs[0].n, _state_array(specs, v)
     couplings = np.array([spec.couplings for spec in specs])
     for k in occupied_magnetizations(n, vec):
-        _check_dim(n, k)
-        basis = sector_states(n, k)
-        comp = vec[basis.states]
-        if integrand is not None and basis.dim >= LANCZOS_MIN_DIM:
+        if (dim := math.comb(n, k)) > SECTOR_DIM_CAP:
+            raise ConfigError(f"sector (n={n}, magnetization={k}) has "
+                              f"dimension {dim} > cap {SECTOR_DIM_CAP}")
+        comp = vec[_sector_pattern(n, k)[0]]
+        if integrand is not None and dim >= LANCZOS_MIN_DIM:
             yield from (_lanczos(spec, k, comp, integrand) for spec in specs)
             continue
         blocks = [(q_s.T @ comp, b) for q_s, b in _spin_blocks(n, k)]
@@ -286,7 +241,7 @@ def spectral_measures(specs, v, integrand=None):
             probs = [np.abs(u.transpose(0, 2, 1) @ x) ** 2  # real u
                      for (_, u), (x, _) in zip(eigs, blocks)]
             yield SpectralMeasure(k, np.hstack([lam for lam, _ in eigs]),
-                                  np.hstack(probs), basis.dim, 0.0)
+                                  np.hstack(probs), dim, 0.0)
 
 
 def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:
@@ -308,7 +263,7 @@ def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:
 def _lanczos(spec: CouplingSpec, k: int, comp: np.ndarray, integrand):
     """Certified Lanczos record of the sector-k component comp."""
     breakdown = 1e-12 * spectral_bound(spec)  # residual of an invariant space
-    _, apply = _sector_operator(spec, k)
+    apply = _sector_operator(spec, k)
     d = len(comp)
     comp = comp.real if not np.any(comp.imag) else comp
     weight = float(np.vdot(comp, comp).real)

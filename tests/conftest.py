@@ -1,18 +1,15 @@
-"""Shared oracles: dense constructions that are independent of the
-matrix-free / sector-block code paths they validate."""
+"""Shared oracles: Kronecker constructions that are independent of the
+matrix-free / sector-block code paths they validate.  A sector is found by
+popcount and its block is cut out of the Kronecker sum of Paulis; nothing
+here reads the package's sector patterns, spin blocks or Strang kernel."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from hamfourier.hamiltonians import (
-    ConfigError,
-    CouplingSpec,
-    occupied_magnetizations,
-    sector_eigensystem,
-    sector_states,
-)
+from hamfourier.hamiltonians import ConfigError, CouplingSpec
 from hamfourier.states import StateVector
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,6 +28,47 @@ def kron_chain(ops):
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
+
+
+def sector_indices(n: int, magnetization: int) -> np.ndarray:
+    """Ascending basis indices of popcount magnetization."""
+    index = np.arange(2**n)
+    popcount = sum(index >> q & 1 for q in range(n))
+    return np.flatnonzero(popcount == magnetization)
+
+
+def sector_block(spec: CouplingSpec, magnetization: int) -> np.ndarray:
+    """H on one sector: the sparse Kronecker sum J_m 1 ⊗ (X X + Y Y + Z Z)
+    ⊗ 1 over bonds m, restricted to the sector's indices, as a dense real
+    matrix."""
+    n = spec.n
+    bond = sum(np.kron(p, p) for p in (PAULI_X, PAULI_Y, PAULI_Z)).real
+    h = sum(j * sparse.kron(sparse.kron(sparse.identity(2**m), bond),
+                            sparse.identity(2**(n - m - 2)), format="csr")
+            for m, j in enumerate(spec.couplings))
+    idx = sector_indices(n, magnetization)
+    return h[idx][:, idx].toarray()
+
+
+def sector_eigensystem(spec: CouplingSpec, magnetization: int):
+    """(eigenvalues ascending, eigenvectors, indices) of one sector block."""
+    return (*np.linalg.eigh(sector_block(spec, magnetization)),
+            sector_indices(spec.n, magnetization))
+
+
+def occupied(psi: StateVector) -> list[int]:
+    """Popcounts of the basis states where psi is nonzero, ascending."""
+    return sorted({int(i).bit_count() for i in np.flatnonzero(psi.amplitudes)})
+
+
+def exact_evolve(spec: CouplingSpec, psi: StateVector, t: float) -> StateVector:
+    """e^{-iHt}·psi, sector by sector from the Kronecker blocks' eigh."""
+    out = np.zeros(2**spec.n, dtype=complex)
+    for k in occupied(psi):
+        evals, evecs, idx = sector_eigensystem(spec, k)
+        coeff = evecs.T @ psi.amplitudes[idx]
+        out[idx] = evecs @ (np.exp(-1j * evals * t) * coeff)
+    return StateVector(n=spec.n, amplitudes=out)
 
 
 def dense_hamiltonian(spec: CouplingSpec) -> np.ndarray:
@@ -73,13 +111,12 @@ def superpose(psi_ref: StateVector, psi: StateVector, phase: complex) -> StateVe
 
 
 def dense_measure(spec: CouplingSpec, psi: StateVector):
-    """Dense oracle of the spectral measure, one sector_eigensystem per
-    occupied sector: [(eigenvalues, p_l = |<λ_l|ψ>|²)]."""
+    """Spectral measure of psi from the Kronecker blocks, one per occupied
+    sector: [(eigenvalues, p_l = |<λ_l|ψ>|²)]."""
     records = []
-    for k in occupied_magnetizations(spec.n, psi.amplitudes):
-        evals, evecs, basis = sector_eigensystem(spec, k)
-        amps = evecs.T @ psi.amplitudes[basis.states]
-        records.append((evals, np.abs(amps) ** 2))
+    for k in occupied(psi):
+        evals, evecs, idx = sector_eigensystem(spec, k)
+        records.append((evals, np.abs(evecs.T @ psi.amplitudes[idx]) ** 2))
     return records
 
 
@@ -103,11 +140,11 @@ def random_spec(n: int, rng: np.random.Generator) -> CouplingSpec:
 def random_sector_state(n: int, magnetization: int,
                         rng: np.random.Generator) -> StateVector:
     """Random complex state supported on one magnetization sector."""
-    basis = sector_states(n, magnetization)
-    comp = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    idx = sector_indices(n, magnetization)
+    comp = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     comp /= np.linalg.norm(comp)
     amps = np.zeros(2**n, dtype=complex)
-    amps[basis.states] = comp
+    amps[idx] = comp
     return StateVector(n=n, amplitudes=amps)
 
 

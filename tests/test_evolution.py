@@ -4,14 +4,13 @@ from scipy.linalg import expm
 
 from hamfourier.evolution import (
     amplitudes,
-    exact_evolve,
     trotter_evolve,
 )
 from hamfourier.features import FeatureMapConfig
 from hamfourier.hamiltonians import (
     ConfigError,
     CouplingSpec,
-    apply_hamiltonian,
+    spectral_sum,
 )
 from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
 from hamfourier.states import (
@@ -23,6 +22,7 @@ from hamfourier.states import (
 from conftest import (
     IDENTITY,
     dense_hamiltonian,
+    exact_evolve,
     inner,
     kron_chain,
     random_dense_state,
@@ -181,60 +181,62 @@ class TestStrangKernel:
 
 
 class TestExactEvolve:
+    # exact evolution in the package is the amplitude layer without a
+    # schedule: A(t) = <psi|e^{-iHt}|psi> from psi's spectral measure
     def test_reference_state_accumulates_phase_only(self, rng):
         for n in (2, 5):
             spec = random_spec(n, rng)
-            v = basis_state(n, "0" * n)
-            t = 1.3
-            out = exact_evolve(spec, v, t)
-            lam = sum(spec.couplings)
-            expected = np.exp(-1j * lam * t) * v.amplitudes
-            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+            times = np.array([0.0, 1.3, 4.2])
+            expected = np.exp(-1j * sum(spec.couplings) * times)
+            np.testing.assert_allclose(
+                amplitudes(spec, basis_state(n, "0" * n), times), expected,
+                atol=1e-12)
 
     def test_n2_singlet_triplet_closed_form(self):
+        # (|01> ± |10>)/sqrt(2) are the triplet (λ = 1) and singlet (λ = -3)
         spec = CouplingSpec(n=2, couplings=(1.0,))
-        v01 = basis_state(2, "01")
-        for t in (0.3, 1.0, 2.7):
-            out = exact_evolve(spec, v01, t)
-            expected = np.zeros(4, dtype=complex)
-            expected[1] = (np.exp(-1j * t) + np.exp(3j * t)) / 2
-            expected[2] = (np.exp(-1j * t) - np.exp(3j * t)) / 2
-            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+        times = np.array([0.3, 1.0, 2.7])
+        for phase, lam in ((1, 1.0), (-1, -3.0)):
+            psi = superpose(basis_state(2, "01"), basis_state(2, "10"), phase)
+            np.testing.assert_allclose(amplitudes(spec, psi, times),
+                                       np.exp(-1j * lam * times), atol=1e-12)
 
     def test_matches_dense_expm_oracle(self, rng):
         for n in (3, 4):
             spec = random_spec(n, rng)
             u = expm(-1j * 0.8 * dense_hamiltonian(spec))
             v = random_dense_state(n, rng)
-            np.testing.assert_allclose(exact_evolve(spec, v, 0.8).amplitudes,
-                                       u @ v.amplitudes, atol=1e-10)
+            assert amplitudes(spec, v, 0.8)[0] == pytest.approx(
+                np.vdot(v.amplitudes, u @ v.amplitudes), abs=1e-10)
 
     def test_energy_conserved(self, rng):
+        # the measure of psi(t) is that of psi, so <H> stays put
         spec = random_spec(4, rng)
         v = random_dense_state(4, rng)
-        e0 = np.vdot(v.amplitudes, apply_hamiltonian(spec, v)).real
+
+        def energy(state):
+            return spectral_sum([spec], state, lambda lam, p: (lam * p).sum(
+                axis=1))[0]
+
+        e0 = energy(v)
+        assert e0 == pytest.approx(
+            np.vdot(v.amplitudes, dense_hamiltonian(spec) @ v.amplitudes).real,
+            abs=1e-12)
         for t in (0.5, 2.0, 7.0):
-            vt = exact_evolve(spec, v, t)
-            et = np.vdot(vt.amplitudes, apply_hamiltonian(spec, vt)).real
-            assert abs(et - e0) <= 1e-10
+            assert abs(energy(exact_evolve(spec, v, t)) - e0) <= 1e-10
 
     def test_two_sector_superposition(self, rng):
-        # evolution acts on each occupied sector independently
+        # evolution acts on each occupied sector independently, so the
+        # cross terms of a two-sector superposition vanish
         spec = random_spec(4, rng)
         ref = basis_state(4, "0000")
         psi = domain_wall(4)
-        plus = superpose(ref, psi, 1)
-        t = 1.1
-        out = exact_evolve(spec, plus, t)
-        expected = (exact_evolve(spec, ref, t).amplitudes
-                    + exact_evolve(spec, psi, t).amplitudes) / np.sqrt(2)
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
-
-    def test_sector_cap_propagates(self, rng):
-        spec = random_spec(18, rng)
-        v = random_sector_state(18, 9, rng)
-        with pytest.raises(ConfigError, match="> cap"):
-            exact_evolve(spec, v, 1.0)
+        times = np.array([0.4, 1.1, 2.9])
+        expected = (amplitudes(spec, ref, times)
+                    + amplitudes(spec, psi, times)) / 2
+        np.testing.assert_allclose(
+            amplitudes(spec, superpose(ref, psi, 1), times), expected,
+            atol=1e-12)
 
 
 class TestAmplitude:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hamfourier.evolution import amplitudes, exact_evolve
+from hamfourier.evolution import amplitudes
 from hamfourier.features import (
     OVERLAP_NAMES,
     ConfigError,
@@ -20,6 +20,7 @@ from hamfourier.states import basis_state, domain_wall
 
 from conftest import (
     dense_hamiltonian,
+    exact_evolve,
     inner,
     random_sector_state,
     random_spec,

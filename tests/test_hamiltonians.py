@@ -4,23 +4,24 @@ import math
 import numpy as np
 import pytest
 
+from hamfourier.evolution import amplitude_rows
 from hamfourier.hamiltonians import (
-    SECTOR_DIM_CAP,
     CouplingSpec,
     ConfigError,
-    apply_hamiltonian,
+    _sector_operator,
+    _sector_pattern,
     coupling_from_record,
     coupling_record,
     sample_couplings,
-    sector_eigensystem,
-    sector_matrix,
-    sector_states,
     spectral_bound,
     spectral_measures,
 )
 from hamfourier.pipeline import json_17g
+from hamfourier.states import basis_state, domain_wall
 
-from conftest import dense_hamiltonian, random_dense_state, random_sector_state, random_spec
+from conftest import (dense_hamiltonian, random_dense_state,
+                      random_sector_state, random_spec, sector_block,
+                      sector_indices, spin_dims)
 
 
 class TestCouplingSpec:
@@ -101,124 +102,154 @@ class TestSpectralBound:
 
 
 class TestApplyHamiltonian:
+    # the sector H·v of the Lanczos oracle, against the Kronecker block
     def test_matches_dense_oracle(self, rng):
         for n in range(2, 7):
             spec = random_spec(n, rng)
-            h = dense_hamiltonian(spec)
-            for _ in range(3):
-                v = random_dense_state(n, rng)
-                np.testing.assert_allclose(
-                    apply_hamiltonian(spec, v), h @ v.amplitudes, atol=1e-12)
+            for k in range(n + 1):
+                block, apply = sector_block(spec, k), _sector_operator(spec, k)
+                d = len(block)
+                for x in (rng.normal(size=d),
+                          rng.normal(size=d) + 1j * rng.normal(size=d)):
+                    out = apply(x)
+                    assert np.iscomplexobj(out) == np.iscomplexobj(x)
+                    np.testing.assert_allclose(out, block @ x, atol=1e-12)
 
     def test_all_zeros_is_eigenvector(self, rng):
         for n in (2, 5, 9):
             spec = random_spec(n, rng)
-            e0 = np.zeros(2**n, dtype=complex)
-            e0[0] = 1.0
-            hv = apply_hamiltonian(spec, e0)
-            lam = sum(spec.couplings)
-            assert np.linalg.norm(hv - lam * e0) <= 1e-12
+            hv = _sector_operator(spec, 0)(np.ones(1))
+            assert abs(hv[0] - sum(spec.couplings)) <= 1e-12
 
     def test_n2_example(self):
         # H|01> for a single unit bond: ZZ gives -|01>, the flip term 2|10>
-        spec = CouplingSpec(n=2, couplings=(1.0,))
-        v = np.zeros(4, dtype=complex)
-        v[0b01] = 1.0
-        expected = np.zeros(4, dtype=complex)
-        expected[0b01] = -1.0
-        expected[0b10] = 2.0
-        np.testing.assert_allclose(apply_hamiltonian(spec, v), expected, atol=0)
+        apply = _sector_operator(CouplingSpec(n=2, couplings=(1.0,)), 1)
+        np.testing.assert_allclose(apply(np.array([1.0, 0.0])), [-1.0, 2.0],
+                                   atol=0)
 
     def test_zero_vector(self, rng):
-        spec = random_spec(3, rng)
-        out = apply_hamiltonian(spec, np.zeros(8, dtype=complex))
-        assert np.all(out == 0)
+        for k in range(4):
+            out = _sector_operator(random_spec(3, rng), k)(
+                np.zeros(math.comb(3, k), dtype=complex))
+            assert np.all(out == 0)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ConfigError, match="state has shape"):
-            apply_hamiltonian(random_spec(3, rng), np.zeros(4, dtype=complex))
+            amplitude_rows([random_spec(3, rng)], np.zeros(4, dtype=complex),
+                           [0.0])
 
     def test_magnetization_conserved_exactly(self, rng):
-        # amplitude created on a different-popcount bitstring must be exact zero
+        # H maps a sector into itself, so its sector block is all of H·v
         for n in (3, 5):
             spec = random_spec(n, rng)
-            for idx in rng.choice(2**n, size=4, replace=False):
+            h = dense_hamiltonian(spec)
+            for k in range(n + 1):
+                idx = sector_indices(n, k)
                 v = np.zeros(2**n, dtype=complex)
-                v[idx] = 1.0
-                out = apply_hamiltonian(spec, v)
-                pop = int(idx).bit_count()
-                for j in np.nonzero(out)[0]:
-                    assert int(j).bit_count() == pop
+                v[idx] = rng.normal(size=len(idx))
+                out = h @ v
+                assert np.all(np.delete(out, idx) == 0), k
+                np.testing.assert_allclose(
+                    _sector_operator(spec, k)(v[idx]), out[idx], atol=1e-12)
 
 
 class TestSectorBasis:
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (8, 1), (5, 0), (5, 5)])
     def test_size_and_order(self, n, k):
-        basis = sector_states(n, k)
-        assert basis.dim == math.comb(n, k)
-        states = basis.states
+        states = _sector_pattern(n, k)[0]
+        assert len(states) == math.comb(n, k)
         assert np.all(np.diff(states) > 0)
         assert all(int(s).bit_count() == k for s in states)
+        np.testing.assert_array_equal(states, sector_indices(n, k))
 
-    def test_invalid_magnetization(self):
-        with pytest.raises(ConfigError, match="magnetization 5 outside"):
-            sector_states(4, 5)
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_flip_pairs_cover_every_bond_flip_once(self, n):
+        for k in range(n + 1):
+            states, signs, pairs, cut = _sector_pattern(n, k)
+            assert not any(arr.flags.writeable
+                           for arr in (states, signs, pairs, cut)), k
+            assert cut[0] == 0 and cut[-1] == pairs.shape[1], k
+            assert np.all(np.diff(cut) >= 0), k  # bonds in order
+            expected = set()
+            for m in range(n - 1):
+                bond = 3 << (n - 2 - m)  # qubits m, m+1
+                ones = 1 << (n - 2 - m)  # |01> on them
+                a, b = states[pairs[:, cut[m]:cut[m + 1]]]
+                assert np.all(a ^ b == bond), (k, m)  # differ in m, m+1 only
+                assert np.all(a & bond == ones), (k, m)
+                assert np.all(np.diff(a) > 0), (k, m)
+                assert len(set(a)) == len(a), (k, m)
+                expected |= {(m, int(s)) for s in states
+                             if int(s) & bond == ones}
+                flipped = (states & bond != 0) & (states & bond != bond)
+                np.testing.assert_array_equal(signs[m], np.where(flipped, -1, 1))
+            found = {(m, int(states[i])) for m in range(n - 1)
+                     for i in pairs[0, cut[m]:cut[m + 1]]}
+            assert found == expected and pairs.shape[1] == len(expected), k
 
 
 class TestSectorEigensystem:
+    # dense spectral_measures records (no integrand: all eigenvalues)
     def test_n2_singlet_triplet(self):
         spec = CouplingSpec(n=2, couplings=(1.0,))
-        evals, evecs, basis = sector_eigensystem(spec, 1)
-        np.testing.assert_allclose(evals, [-3.0, 1.0], atol=1e-12)
+        (rec,) = spectral_measures([spec], basis_state(2, "01"))
+        np.testing.assert_allclose(rec.eigenvalues[0], [-3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(rec.probabilities[0], [0.5, 0.5],
+                                   atol=1e-12)
 
     def test_magnetization_zero_sector(self, rng):
         spec = random_spec(5, rng)
-        evals, _, basis = sector_eigensystem(spec, 0)
-        assert basis.dim == 1
-        # |0...0> eigenvalue equals the coupling sum (cross-check with apply)
-        e0 = np.zeros(2**5, dtype=complex)
-        e0[0] = 1.0
-        lam = apply_hamiltonian(spec, e0)[0].real
-        assert evals[0] == pytest.approx(lam, abs=1e-12)
+        (rec,) = spectral_measures([spec], basis_state(5, "00000"))
+        assert rec.magnetization == 0 and rec.depth == 1
+        # |0...0> eigenvalue equals the coupling sum (cross-check with H·v)
+        lam = _sector_operator(spec, 0)(np.ones(1))[0]
+        assert rec.eigenvalues[0, 0] == pytest.approx(lam, abs=1e-12)
+        assert rec.eigenvalues[0, 0] == pytest.approx(sum(spec.couplings),
+                                                      abs=1e-12)
 
     def test_block_matches_dense_oracle(self, rng):
-        for n in (3, 4, 5):
+        # the tests' sparse Kronecker sector blocks are the sector blocks
+        # of the dense Kronecker matrix
+        for n in range(2, 7):
             spec = random_spec(n, rng)
             h = dense_hamiltonian(spec)
+            assert np.max(np.abs(h.imag)) == 0
             for k in range(n + 1):
-                basis = sector_states(n, k)
-                block = h[np.ix_(basis.states, basis.states)]
+                idx = sector_indices(n, k)
                 np.testing.assert_allclose(
-                    sector_matrix(spec, basis), block.real, atol=1e-12)
-                assert np.max(np.abs(block.imag)) == 0
+                    sector_block(spec, k), h[np.ix_(idx, idx)].real, atol=1e-12)
 
     def test_reconstruction_and_order(self, rng):
+        # eigenvalues ascend within each spin block, and the record's
+        # moments are <psi|H^j|psi> of the Kronecker block
         spec = random_spec(6, rng)
-        evals, evecs, basis = sector_eigensystem(spec, 3)
-        assert np.all(np.diff(evals) >= -1e-12)
-        rebuilt = evecs @ np.diag(evals) @ evecs.T
-        assert np.max(np.abs(rebuilt - sector_matrix(spec, basis))) <= 1e-10
+        psi = random_sector_state(6, 3, rng)
+        (rec,) = spectral_measures([spec], psi)
+        blocks = np.split(rec.eigenvalues[0], np.cumsum(spin_dims(6, 3))[:-1])
+        assert all(np.all(np.diff(b) >= -1e-12) for b in blocks)
+        h, comp = sector_block(spec, 3), psi.amplitudes[sector_indices(6, 3)]
+        for power in range(4):
+            moment = np.vdot(comp, np.linalg.matrix_power(h, power) @ comp).real
+            assert rec.eigenvalues[0] ** power @ rec.probabilities[0] == \
+                pytest.approx(moment, abs=1e-10)
 
     def test_half_filled_12_qubits(self, rng):
         spec = random_spec(12, rng)
-        evals, _, basis = sector_eigensystem(spec, 6)
-        assert basis.dim == 924
-        assert len(evals) == 924
+        (rec,) = spectral_measures([spec], domain_wall(12))
+        assert rec.depth == 924
+        assert rec.eigenvalues.shape == (1, 924)
         bound = spectral_bound(spec)
-        assert np.all(np.abs(evals) <= bound + 1e-9)
+        assert np.all(np.abs(rec.eigenvalues) <= bound + 1e-9)
 
     def test_all_sector_eigenvalues_bounded(self, rng):
         for _ in range(5):
             spec = random_spec(5, rng)
             for k in range(6):
-                evals, _, _ = sector_eigensystem(spec, k)
-                assert np.all(np.abs(evals) <= spectral_bound(spec) + 1e-9)
-
-    def test_dimension_cap(self, rng):
-        spec = random_spec(18, rng)
-        assert math.comb(18, 9) > SECTOR_DIM_CAP
-        with pytest.raises(ConfigError, match="> cap"):
-            sector_eigensystem(spec, 9)
+                (rec,) = spectral_measures([spec],
+                                           random_sector_state(5, k, rng))
+                assert rec.eigenvalues.shape == (1, math.comb(5, k))
+                assert np.all(np.abs(rec.eigenvalues)
+                              <= spectral_bound(spec) + 1e-9)
 
 
 class TestSpectralWeights:

@@ -1,8 +1,8 @@
 """The Lanczos spectral measure against the dense sector eigendecomposition.
 
 Features A(t_l) = sum_l p_l e^{-iλ_l t_l} and labels y = sum_l p_l f(λ_l)
-from hamiltonians.spectral_measures must match the dense oracle (one
-sector_eigensystem per sector) to 1e-12 across n = 4..12, for
+from hamiltonians.spectral_measures must match the dense oracle (eigh of
+each sector's Kronecker block, conftest) to 1e-12 across n = 4..12, for
 single-sector, multi-sector and complex (phase ±i) states, and every
 record must carry its certificate.
 Sectors below LANCZOS_MIN_DIM take the dense path, so Lanczos itself runs
@@ -23,17 +23,15 @@ from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
     LANCZOS_TOL,
     ConfigError,
+    _sector_pattern,
     _spin_blocks,
-    sector_eigensystem,
-    sector_matrix,
-    sector_states,
     spectral_measures,
 )
 from hamfourier.labels import FunctionSpec, label
 from hamfourier.states import StateVector, basis_state, domain_wall
 
 from conftest import (dense_measure, random_sector_state, random_spec,
-                      spin_dims, superpose)
+                      sector_block, sector_eigensystem, spin_dims, superpose)
 
 K, C = 11, 3.0
 TIMES = np.arange(K + 1) * np.pi / C
@@ -101,10 +99,10 @@ def test_invariant_krylov_space_exhausts_exactly(rng):
     # a state on three eigenvectors of a d=252 block spans a 3-dim Krylov
     # space: Lanczos stops there and its quadrature is the exact measure
     spec = random_spec(10, rng)
-    evals, evecs, basis = sector_eigensystem(spec, 5)
-    assert basis.dim >= LANCZOS_MIN_DIM
+    evals, evecs, idx = sector_eigensystem(spec, 5)
+    assert len(idx) >= LANCZOS_MIN_DIM
     amps = np.zeros(2**10, dtype=complex)
-    amps[basis.states] = evecs[:, [3, 100, 250]] @ np.array([0.6, 0.64j, -0.48])
+    amps[idx] = evecs[:, [3, 100, 250]] @ np.array([0.6, 0.64j, -0.48])
     (rec,) = spectral_measures([spec], StateVector(n=10, amplitudes=amps),
                                lambda nodes: nodes)
     assert rec.depth == 3 and rec.gap == 0.0
@@ -143,13 +141,12 @@ def test_spin_blocks_split_every_sector(n, rng):
     # odd n too: there S is a half-integer, and S = 1/2 must stay one block
     spec = random_spec(n, rng)
     for k in range(n + 1):
-        basis = sector_states(n, k)
         blocks = [q for q, _ in _spin_blocks(n, k)]
         dims = [q.shape[1] for q in blocks]
-        assert dims == spin_dims(n, k) and sum(dims) == basis.dim, k
+        assert dims == spin_dims(n, k) and sum(dims) == math.comb(n, k), k
         q = np.concatenate(blocks, axis=1)
-        assert np.max(np.abs(q.T @ q - np.eye(basis.dim))) <= 1e-12, k
-        h = sector_matrix(spec, basis)
+        assert np.max(np.abs(q.T @ q - np.eye(sum(dims)))) <= 1e-12, k
+        h = sector_block(spec, k)
         for a, b in itertools.combinations(blocks, 2):
             assert np.max(np.abs(a.T @ h @ b)) <= 1e-12, k
         psi = random_sector_state(n, k, rng)
@@ -162,9 +159,9 @@ def test_spin_blocks_split_every_sector(n, rng):
 
 
 def test_sector_pattern_is_cached_and_read_only():
-    basis = sector_states(10, 5)
-    assert sector_states(10, 5) is basis
-    assert not basis.states.flags.writeable
+    pattern = _sector_pattern(10, 5)
+    assert _sector_pattern(10, 5) is pattern
+    assert not any(arr.flags.writeable for arr in pattern)
 
 
 def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):

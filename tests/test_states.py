@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamfourier.features import overlap_reference
-from hamfourier.hamiltonians import ConfigError, apply_hamiltonian
+from hamfourier.hamiltonians import ConfigError
 from hamfourier.states import (
     StateVector,
     basis_state,
@@ -10,6 +10,7 @@ from hamfourier.states import (
 )
 
 from conftest import (
+    dense_hamiltonian,
     inner,
     random_dense_state,
     random_sector_state,
@@ -119,7 +120,7 @@ class TestReferenceEigenstate:
             spec = random_spec(n, rng)
             lambda_ref = overlap_reference(spec, basis_state(n, "1" * n))
             e = basis_state(n, "0" * n).amplitudes
-            residual = apply_hamiltonian(spec, e) - lambda_ref * e
+            residual = dense_hamiltonian(spec) @ e - lambda_ref * e
             assert np.linalg.norm(residual) <= 1e-12
 
 
