@@ -29,6 +29,8 @@ import numpy as np
 from .hamiltonians import (
     ConfigError,
     CouplingSpec,
+    _check_bytes,
+    _sector_bytes,
     _sector_pattern,
     _state_array,
     occupied_magnetizations,
@@ -52,7 +54,12 @@ def _strang_sectors(spec: CouplingSpec, vec: np.ndarray, times, steps):
     theta = np.array([j[m] * tau for bonds, tau in layers for m in bonds])
     coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2c·Π)
     phase = np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}, deferred
-    for k in occupied_magnetizations(n, vec):
+    sectors = occupied_magnetizations(n, vec)
+    for k in sectors:  # refused before any sector is built
+        _check_bytes(_sector_bytes(n, k, 32 * len(dt)),  # two (d, K+1) copies
+                     f"Strang sweep (n={n}, magnetization={k})",
+                     "pattern and components")
+    for k in sectors:
         states, _, pairs, cut = _sector_pattern(n, k)
         c = vec[states]
         v = np.repeat(c[:, None], len(dt), axis=1)

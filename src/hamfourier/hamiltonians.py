@@ -7,10 +7,10 @@ significant bit of a basis index, so |b0 b1 ... b_{n-1}> lives at index
 int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
 popcount), which lets us work on one sector block at a time instead of
 the full 2^n matrix, for a batch of specs at once (spectral_measures): by
-certified Lanczos quadrature from matrix-free H·v or by stacked dense eigh
-per total-spin block ([H, S²] = 0).  Every sector kernel (H·v, the spin
-blocks, the Strang gates of evolution) reads one cached pattern per sector:
-its basis, its Z Z signs and its bonds' flip pairs.
+certified Lanczos quadrature, chunks of samples in lockstep on matrix-free
+H·V, or by stacked dense eigh per total-spin block ([H, S²] = 0).  Every
+sector kernel (H·V, the spin blocks, the Strang gates of evolution) reads
+one cached pattern per sector: its basis, Z Z signs and bonds' flip pairs.
 """
 
 from __future__ import annotations
@@ -32,16 +32,20 @@ SECTOR_DIM_CAP = 20_000
 LANCZOS_TOL = 1e-13
 LANCZOS_STEP = 8
 #: Smaller sectors are diagonalized densely.  ms per sample (one BLAS thread,
-#: K=11 features/exp label, median of 3 runs), dense vs Lanczos: d=70 0.36/
-#: 0.32 vs 1.8/0.85; d=126 1.0/0.98 vs 1.5/0.70; d=252 3.5/3.6 vs 2.0/0.80.
+#: K=11 features/exp label, batches of 55, median of 3 runs), dense vs
+#: Lanczos: d=70 0.37/0.33 vs 0.45/0.13; d=126 1.1/1.0 vs 0.56/0.16; d=252
+#: 3.6/3.4 vs 0.72/0.26 (kept at 100: moving it re-baselines n=8 rows).
 LANCZOS_MIN_DIM = 100
-#: Largest spin-block cache (Q and bond operators) of one dense sector; its
-#: build peaks near 3x: n=14 at half filling keeps 372 MB (peak 1,052 MB).
-SPIN_BLOCK_BYTES_CAP = 10**9
-#: Dense sectors go through eigh in stacks of EIGH_STACK_ENTRIES // sum_S
-#: d_S² samples (22 at d=70, 248 at d=20, one at d=924), so a stack's spin
-#: blocks, eigenvectors and their complex copy stay near 1 MiB.
-EIGH_STACK_ENTRIES = 2**15
+#: Largest cache of one sector path: a dense sector's spin blocks (n=14 at
+#: half filling keeps 372 MB, build peak 1,052 MB), a Strang sweep's pattern
+#: and components.
+SECTOR_BYTES_CAP = 10**9
+#: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
+#: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
+#: Lanczos (11 at d=924: three Krylov rows each), so that a stack's arrays
+#: stay near 1 MiB: spin blocks, eigenvectors and their complex copy, or the
+#: Krylov block and its flip terms (2P = 6d entries per row at n=12).
+STACK_ENTRIES = 2**15
 
 
 class ConfigError(ValueError):
@@ -147,28 +151,50 @@ def _sector_pattern(n: int, magnetization: int):
     return states, signs, pairs, cut
 
 
-def _sector_operator(spec: CouplingSpec, magnetization: int):
-    """x -> H·x on one sector block, matrix-free: per bond, Z Z adds ±J_m on
-    the diagonal (+ for equal bits) and X X + Y Y swaps each flip pair
-    with amplitude 2 J_m, all bonds in one bincount."""
-    _, signs, pairs, cut = _sector_pattern(spec.n, magnetization)
-    j = np.asarray(spec.couplings)
-    diag = (j[:, None] * signs).sum(axis=0)
-    vals = np.repeat(2.0 * j, 2 * np.diff(cut))  # both entries of each pair
+def _sector_operator(couplings, magnetization: int):
+    """X -> H·X on one sector block, matrix-free, row b of X (B, d) under
+    couplings[b] (B, n-1): per bond, Z Z adds ±J_m on the diagonal (+ for
+    equal bits) and X X + Y Y swaps each flip pair with amplitude 2 J_m, all
+    bonds and rows in one bincount at flat index b·d + row."""
+    j = np.asarray(couplings, dtype=float)
+    _, signs, pairs, cut = _sector_pattern(j.shape[1] + 1, magnetization)
+    diag = (j[:, :, None] * signs).sum(axis=1)
     # bond by bond, its a's then its b's: each row's terms stay in bond
     # order, and each half reads and writes ascending indices
     bonds = [pairs[:, lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
-    rows = np.concatenate(bonds, axis=None)
     cols = np.concatenate([ab[::-1] for ab in bonds], axis=None)
+    rows = (np.concatenate(bonds, axis=None)
+            + diag.shape[1] * np.arange(len(j))[:, None]).ravel()
+    scale = 2.0 * j[:, :, None]  # every bond flips C(n-2, k-1) pairs
 
-    def hop(part):
-        return np.bincount(rows, vals * part[cols], minlength=len(diag))
+    def hop(part):  # gathered per row, scaled per bond, scattered flat
+        terms = part.take(cols, axis=1).reshape(*scale.shape[:2], -1)
+        terms *= scale
+        return np.bincount(rows, terms.ravel(),
+                           minlength=diag.size).reshape(diag.shape)
 
     def apply(x):  # bincount weights are real: phases ±i need two passes
-        out = diag * x + hop(x.real)
-        return out + 1j * hop(x.imag) if np.iscomplexobj(x) else out
+        out = hop(x.real) + diag * x
+        if np.iscomplexobj(x):
+            out += 1j * hop(x.imag)
+        return out
 
     return apply
+
+
+def _check_bytes(size: int, subject: str, what: str) -> None:
+    """Refuse a cache estimated at size bytes above SECTOR_BYTES_CAP."""
+    if size > SECTOR_BYTES_CAP:
+        raise ConfigError(f"{subject} needs {size / 1e9:.1f} GB of {what} > "
+                          f"cap {SECTOR_BYTES_CAP / 1e9:g} GB")
+
+
+def _sector_bytes(n: int, k: int, per_state: int = 0) -> int:
+    """Bytes of _sector_pattern(n, k) from counts (8 per state and Z Z sign,
+    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset), plus
+    per_state bytes for each state of the sector."""
+    pairs = (n - 1) * (k and math.comb(n - 2, k - 1))
+    return (8 * n + per_state) * math.comb(n, k) + 16 * pairs + 8 * n
 
 
 @functools.lru_cache(maxsize=32)
@@ -182,11 +208,9 @@ def _spin_blocks(n: int, magnetization: int):
     integer (S itself is a half-integer at odd n)."""
     dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2 - t
             for t in range(min(magnetization, n - magnetization) + 1)]
-    size = 8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2)  # bytes
-    if size > SPIN_BLOCK_BYTES_CAP:
-        raise ConfigError(f"dense sector (n={n}, magnetization={magnetization})"
-                          f" needs {size / 1e9:.1f} GB of spin blocks > cap "
-                          f"{SPIN_BLOCK_BYTES_CAP / 1e9:g} GB")
+    _check_bytes(8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2),
+                 f"dense sector (n={n}, magnetization={magnetization})",
+                 "spin blocks")
     states, signs, pairs, cut = _sector_pattern(n, magnetization)
     ones, (a, b) = magnetization, pairs
     bonds = np.repeat(np.arange(n - 1), np.diff(cut))  # each pair's bond
@@ -218,10 +242,11 @@ def spectral_measures(specs, v, integrand=None):
     records of ψ's occupied sectors in ascending order, each sector's
     records covering the batch in order.  Sectors below LANCZOS_MIN_DIM (all
     when integrand is None) are exact: stacked eigh per spin block.  The rest
-    get certified Gauss quadrature per sample: Lanczos from the component c
-    gives a depth-m tridiagonal T whose eigenpairs (θ_j, u_j) are the nodes
-    and weights ||c||²·u_j[0]², exact to degree 2m-1 (Golub & Meurant,
-    2010), deep enough that integrand(θ) @ weights settles."""
+    get certified Gauss quadrature, chunks of samples in lockstep: Lanczos
+    from the component c gives each a depth-m tridiagonal T whose eigenpairs
+    (θ_j, u_j) are the nodes and weights ||c||²·u_j[0]², exact to degree
+    2m-1 (Golub & Meurant, 2010), deep enough that the integrals settle of
+    integrand(θ), which maps nodes (..., m) to values (..., [J,] m)."""
     n, vec = specs[0].n, _state_array(specs, v)
     couplings = np.array([spec.couplings for spec in specs])
     for k in occupied_magnetizations(n, vec):
@@ -230,10 +255,13 @@ def spectral_measures(specs, v, integrand=None):
                               f"dimension {dim} > cap {SECTOR_DIM_CAP}")
         comp = vec[_sector_pattern(n, k)[0]]
         if integrand is not None and dim >= LANCZOS_MIN_DIM:
-            yield from (_lanczos(spec, k, comp, integrand) for spec in specs)
+            size = max(1, STACK_ENTRIES // (3 * dim))
+            for start in range(0, len(specs), size):
+                yield from _lanczos(couplings[start:start + size], k, comp,
+                                    integrand)
             continue
         blocks = [(q_s.T @ comp, b) for q_s, b in _spin_blocks(n, k)]
-        size = max(1, EIGH_STACK_ENTRIES // sum(b[0].size for _, b in blocks))
+        size = max(1, STACK_ENTRIES // sum(b[0].size for _, b in blocks))
         for start in range(0, len(specs), size):
             j = couplings[start:start + size, :, None, None]
             # summed per sample: j @ b would round as one GEMM for the stack
@@ -260,40 +288,61 @@ def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:
     return total
 
 
-def _lanczos(spec: CouplingSpec, k: int, comp: np.ndarray, integrand):
-    """Certified Lanczos record of the sector-k component comp."""
-    breakdown = 1e-12 * spectral_bound(spec)  # residual of an invariant space
-    apply = _sector_operator(spec, k)
-    d = len(comp)
+def _lanczos(couplings, k: int, comp: np.ndarray, integrand):
+    """Certified Lanczos records of the sector-k component comp, one per row
+    of couplings (B, n-1), in order.  The rows run in lockstep on a (B, d)
+    block by the three-term recurrence, whose Gauss quadrature stays
+    accurate in finite precision without reorthogonalization (Greenbaum,
+    Lin. Alg. Appl. 113, 7, 1989); each row's dots run along its own
+    contiguous row, so its arithmetic does not depend on B.  A row retires
+    at the first checkpoint (every LANCZOS_STEP steps) where its integrals
+    settle, or as soon as its Krylov space is exhausted (gap 0)."""
+    d, records = len(comp), [None] * len(couplings)
     comp = comp.real if not np.any(comp.imag) else comp
     weight = float(np.vdot(comp, comp).real)
-    r, krylov = comp / math.sqrt(weight), np.empty((0, d), comp.dtype)
-    alphas, betas, prev = [], [], np.inf  # first checkpoint: gap inf
-    while True:  # grow the basis by LANCZOS_STEP rows per checkpoint
-        m0 = len(alphas)
-        krylov = np.concatenate(
-            [krylov, np.empty((min(LANCZOS_STEP, d - m0), d), r.dtype)])
-        for i in range(m0, len(krylov)):
-            krylov[i], r = r, apply(r)
-            alphas.append(np.vdot(krylov[i], r).real)
-            for _ in range(2):  # classical Gram-Schmidt, twice
-                r = r - np.conj(krylov[:i + 1] @ np.conj(r)) @ krylov[:i + 1]
-            betas.append(np.linalg.norm(r))
-            exhausted = i + 1 == d or betas[-1] <= breakdown  # exact
-            if exhausted:
-                break
-            r = r / betas[-1]
-        off = betas[:-1]
-        nodes, u = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1)
-                                  + np.diag(off, -1))
-        weights = weight * u[0] ** 2
-        value = integrand(nodes) @ weights
-        gap = 0.0 if exhausted else float(
-            np.max(np.abs(value - prev) / np.maximum(1.0, np.abs(value))))
-        if gap <= LANCZOS_TOL:
-            break
-        prev = value
-    return SpectralMeasure(k, nodes[None], weights[None], len(alphas), gap)
+    live = np.arange(len(couplings))  # the batch rows still running
+    v = np.repeat(comp[None] / math.sqrt(weight), len(live), axis=0)
+    v_prev, beta, steps, prev = np.zeros_like(v), np.zeros(len(v)), [], np.inf
+    breakdown = 1e-12 * (3.0 * np.abs(couplings).sum(axis=1))  # spectral_bound
+    apply = _sector_operator(couplings, k)
+    while True:
+        w = apply(v)
+        v_prev *= beta[:, None]  # in place: a chunk's block is large
+        w -= v_prev
+        alpha = np.vecdot(v, w, axis=1).real  # one dot per row
+        w -= alpha[:, None] * v
+        beta = np.sqrt(np.vecdot(w, w, axis=1).real)
+        steps.append(np.array([alpha, beta]))
+        m, checkpoint = len(steps), len(steps) % LANCZOS_STEP == 0
+        # gap 0: the Krylov space is exhausted and the quadrature exact
+        gaps = np.where((beta <= breakdown[live]) | (m == d), 0.0, np.inf)
+        if checkpoint or not gaps.all():
+            a, b = np.stack(steps, axis=2)[:, :, None]  # each row's T:
+            t = np.eye(m) * a + np.eye(m, k=-1) * b  # eigh reads lower half
+            nodes, u = np.linalg.eigh(t)
+            weights = weight * u[:, 0] ** 2
+            if checkpoint:
+                vals = integrand(nodes)
+                value = np.sum(vals * np.expand_dims(
+                    weights, tuple(range(1, vals.ndim - 1))), axis=-1)
+                change = np.abs(value - prev) / np.maximum(1.0, np.abs(value))
+                gaps = np.minimum(gaps, change.reshape(len(live), -1).max(1))
+                prev = value
+            done = gaps <= LANCZOS_TOL
+            for row, x, p, gap in zip(live[done], nodes[done], weights[done],
+                                      gaps[done]):
+                records[row] = SpectralMeasure(k, x[None], p[None], m,
+                                               float(gap))
+            if done.all():
+                return records
+            if done.any():  # the rest go on without them
+                keep = ~done
+                live, v, w, beta = live[keep], v[keep], w[keep], beta[keep]
+                steps = [step[:, keep] for step in steps]
+                prev = prev if np.isscalar(prev) else prev[keep]
+                apply = _sector_operator(couplings[live], k)
+        w /= beta[:, None]
+        v_prev, v = v, w
 
 
 # --- JSONL interchange -------------------------------------------------

@@ -3,6 +3,7 @@ matrix-free / sector-block code paths they validate.  A sector is found by
 popcount and its block is cut out of the Kronecker sum of Paulis; nothing
 here reads the package's sector patterns, spin blocks or Strang kernel."""
 
+import functools
 import math
 
 import numpy as np
@@ -37,17 +38,21 @@ def sector_indices(n: int, magnetization: int) -> np.ndarray:
     return np.flatnonzero(popcount == magnetization)
 
 
-def sector_block(spec: CouplingSpec, magnetization: int) -> np.ndarray:
-    """H on one sector: the sparse Kronecker sum J_m 1 ⊗ (X X + Y Y + Z Z)
-    ⊗ 1 over bonds m, restricted to the sector's indices, as a dense real
-    matrix."""
-    n = spec.n
+@functools.lru_cache(maxsize=64)
+def kronecker_sum(n: int, couplings: tuple[float, ...]) -> sparse.csr_matrix:
+    """The sparse Kronecker sum J_m 1 ⊗ (X X + Y Y + Z Z) ⊗ 1 over bonds m,
+    built once per chain and shared by all of its sectors (read-only)."""
     bond = sum(np.kron(p, p) for p in (PAULI_X, PAULI_Y, PAULI_Z)).real
-    h = sum(j * sparse.kron(sparse.kron(sparse.identity(2**m), bond),
-                            sparse.identity(2**(n - m - 2)), format="csr")
-            for m, j in enumerate(spec.couplings))
-    idx = sector_indices(n, magnetization)
-    return h[idx][:, idx].toarray()
+    return sum(j * sparse.kron(sparse.kron(sparse.identity(2**m), bond),
+                               sparse.identity(2**(n - m - 2)), format="csr")
+               for m, j in enumerate(couplings))
+
+
+def sector_block(spec: CouplingSpec, magnetization: int) -> np.ndarray:
+    """H on one sector: the Kronecker sum restricted to the sector's
+    indices, as a dense real matrix."""
+    idx = sector_indices(spec.n, magnetization)
+    return kronecker_sum(spec.n, spec.couplings)[idx][:, idx].toarray()
 
 
 def sector_eigensystem(spec: CouplingSpec, magnetization: int):

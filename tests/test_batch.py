@@ -3,11 +3,14 @@
 feature_rows, label_rows and amplitude_rows take a batch of specs; the
 single-sample calls are batches of one.  Dense sectors are diagonalized
 per total-spin block, in stacks of samples whose blocks hold at most
-hamiltonians.EIGH_STACK_ENTRIES entries, so batches just below,
+hamiltonians.STACK_ENTRIES entries, so batches just below,
 at and above a stack boundary must give every row exactly as the sample
 alone does, across n = 4, 6, 8 (dense stacks) and n = 10 (Lanczos beside
 stacks), states on several sectors with phases ±1 and ±i, every backend
-with and without a schedule, and step, exp and fourier labels."""
+with and without a schedule, and step, exp and fourier labels.  Lanczos
+sectors run chunks of hamiltonians.STACK_ENTRIES // 3d samples in lockstep,
+so n = 12 checks batches just below, at and above the real chunk, with a
+row that retires early."""
 
 import math
 
@@ -65,7 +68,7 @@ def small_stacks(monkeypatch):
     """Stacks of STACK samples for a sector with the given spin-block
     entries per sample."""
     def set_entries(entries):
-        monkeypatch.setattr(hm, "EIGH_STACK_ENTRIES", STACK * entries)
+        monkeypatch.setattr(hm, "STACK_ENTRIES", STACK * entries)
     return set_entries
 
 
@@ -118,8 +121,8 @@ def test_default_stack_boundaries(rng):
     psi = superpose(domain_wall(8), basis_state(8, "00000111"), 1j)
     cfg = FeatureMapConfig(K=K, C=C, backend="hadamard-shots", n_shot=20,
                            seed=2)
-    stack = hm.EIGH_STACK_ENTRIES // spin_entries(8, 4)
-    assert stack == 22 and hm.EIGH_STACK_ENTRIES // spin_entries(8, 3) == 26
+    stack = hm.STACK_ENTRIES // spin_entries(8, 4)
+    assert stack == 22 and hm.STACK_ENTRIES // spin_entries(8, 3) == 26
     specs = [random_spec(8, rng) for _ in range(2 * stack + 3)]
     singles = np.array([feature_vector(s, psi, cfg, b)
                         for b, s in enumerate(specs)])
@@ -130,6 +133,59 @@ def test_default_stack_boundaries(rng):
                                       singles[:size])
         np.testing.assert_array_equal(
             label_rows(specs[:size], psi, step), labels[:size])
+
+
+@pytest.mark.parametrize("phase", [None, 1j, -1j])
+def test_lanczos_chunk_boundaries(phase, rng):
+    # the real constant at n = 12 runs the half-filled sector (d = 924) in
+    # chunks of 11 samples and the k = 5 one (d = 792), imaginary in the ±i
+    # states, in chunks of 13.  A chain coupled on bond 0 alone keeps both
+    # basis components eigenvectors (bits 11 and 00 on qubits 0, 1), so its
+    # row exhausts its Krylov space at depth 1 while the rest of its chunk
+    # runs on
+    chunk = hm.STACK_ENTRIES // (3 * math.comb(12, 6))
+    assert chunk == 11
+    specs = [random_spec(12, rng) for _ in range(2 * chunk + 3)]
+    specs[1] = specs[chunk] = hm.CouplingSpec(12, (1.0,) + (0.0,) * 10)
+    wall = domain_wall(12)
+    psi = wall if phase is None else superpose(
+        wall, basis_state(12, "0" * 7 + "1" * 5), phase)
+    times = np.arange(K + 1) * np.pi / C
+    exp = FunctionSpec("exp", C, 1.0)
+    singles = np.array([amplitude_rows([s], psi, times)[0] for s in specs])
+    labels = np.array([label(s, psi, exp) for s in specs])
+    for size in batch_sizes(chunk)[1:]:
+        np.testing.assert_array_equal(amplitude_rows(specs[:size], psi, times),
+                                      singles[:size], err_msg=f"B={size}")
+        np.testing.assert_array_equal(label_rows(specs[:size], psi, exp),
+                                      labels[:size], err_msg=f"B={size}")
+    depths = [rec.depth for rec in hm.spectral_measures(specs[:3], psi, exp)]
+    assert depths[1] == 1 < min(depths[0], depths[2])
+
+
+def test_deep_quadrature_matches_dense_oracle(rng):
+    # K = 60 puts t up to 20π: the records go 72-80 deep, past converged
+    # Ritz values, where the three-term recurrence loses orthogonality; the
+    # Gauss quadrature must still match the oracle
+    times = np.arange(61) * np.pi / C
+    specs = [random_spec(12, rng) for _ in range(3)]
+    psi = domain_wall(12)
+    dense = [dense_measure(spec, psi) for spec in specs]
+    rows = amplitude_rows(specs, psi, times)
+    targets = [FunctionSpec("exp", C, 1.0), FunctionSpec("cos", C, 2.3)]
+    ys = [label_rows(specs, psi, fspec) for fspec in targets]
+    for b, measure in enumerate(dense):
+        oracle = sum(np.exp(-1j * np.outer(times, evals)) @ p
+                     for evals, p in measure)
+        assert np.max(np.abs(rows[b] - oracle)) <= 1e-12
+        for fspec, y in zip(targets, ys):
+            y_dense = sum(np.sum(p * fspec(evals)) for evals, p in measure)
+            assert abs(y[b] - y_dense) <= 1e-12
+    def phases(nodes):
+        return np.exp(-1j * times[:, None] * nodes[..., None, :])
+
+    records = hm.spectral_measures(specs, psi, phases)
+    assert max(rec.depth for rec in records) > 64
 
 
 @pytest.mark.parametrize("n", [6, 10])

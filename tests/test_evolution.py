@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from hamfourier.evolution import (
+    amplitude_rows,
     amplitudes,
     trotter_evolve,
 )
@@ -10,6 +11,8 @@ from hamfourier.features import FeatureMapConfig
 from hamfourier.hamiltonians import (
     ConfigError,
     CouplingSpec,
+    _sector_bytes,
+    _sector_pattern,
     spectral_sum,
 )
 from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
@@ -178,6 +181,22 @@ class TestStrangKernel:
         out = trotter_evolve(random_spec(12, rng), random_dense_state(12, rng),
                              3.7, 3)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (5, 5), (9, 4), (12, 6)])
+    def test_sector_bytes_count_the_cached_pattern(self, n, k):
+        assert _sector_bytes(n, k) == sum(
+            arr.nbytes for arr in _sector_pattern(n, k))
+
+    def test_refuses_a_sweep_that_would_not_fit(self, rng):
+        # n=24 at half filling: a 0.78 GB pattern and 2·d·(K+1)·16 bytes of
+        # components (1.04 GB for 12 times) are refused before anything is
+        # built, so the pattern cache does not change
+        before = _sector_pattern.cache_info().currsize
+        with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) "
+                           r"needs 1\.8 GB of pattern and components > cap"):
+            amplitude_rows([random_spec(24, rng)], domain_wall(24),
+                           np.arange(12.0), (1,) * 12)
+        assert _sector_pattern.cache_info().currsize == before
 
 
 class TestExactEvolve:

@@ -101,13 +101,19 @@ class TestSpectralBound:
         assert spectral_bound(CouplingSpec(n=3, couplings=(1.0, 1.0))) == 6.0
 
 
+def sector_apply(spec, k):
+    """The sector H·v of one spec: _sector_operator on a batch of one."""
+    apply = _sector_operator([spec.couplings], k)
+    return lambda x: apply(x[None])[0]
+
+
 class TestApplyHamiltonian:
     # the sector H·v of the Lanczos oracle, against the Kronecker block
     def test_matches_dense_oracle(self, rng):
         for n in range(2, 7):
             spec = random_spec(n, rng)
             for k in range(n + 1):
-                block, apply = sector_block(spec, k), _sector_operator(spec, k)
+                block, apply = sector_block(spec, k), sector_apply(spec, k)
                 d = len(block)
                 for x in (rng.normal(size=d),
                           rng.normal(size=d) + 1j * rng.normal(size=d)):
@@ -115,21 +121,30 @@ class TestApplyHamiltonian:
                     assert np.iscomplexobj(out) == np.iscomplexobj(x)
                     np.testing.assert_allclose(out, block @ x, atol=1e-12)
 
+    def test_batch_rows_equal_single_rows(self, rng):
+        # row b of H·X is spec b's H·v alone, bit for bit (flat index b·d + row)
+        specs = [random_spec(8, rng) for _ in range(5)]
+        for k in (1, 4):
+            x = rng.normal(size=(5, math.comb(8, k))) * (1 + 1j)
+            out = _sector_operator([s.couplings for s in specs], k)(x)
+            for spec, row, xb in zip(specs, out, x):
+                np.testing.assert_array_equal(row, sector_apply(spec, k)(xb))
+
     def test_all_zeros_is_eigenvector(self, rng):
         for n in (2, 5, 9):
             spec = random_spec(n, rng)
-            hv = _sector_operator(spec, 0)(np.ones(1))
+            hv = sector_apply(spec, 0)(np.ones(1))
             assert abs(hv[0] - sum(spec.couplings)) <= 1e-12
 
     def test_n2_example(self):
         # H|01> for a single unit bond: ZZ gives -|01>, the flip term 2|10>
-        apply = _sector_operator(CouplingSpec(n=2, couplings=(1.0,)), 1)
+        apply = sector_apply(CouplingSpec(n=2, couplings=(1.0,)), 1)
         np.testing.assert_allclose(apply(np.array([1.0, 0.0])), [-1.0, 2.0],
                                    atol=0)
 
     def test_zero_vector(self, rng):
         for k in range(4):
-            out = _sector_operator(random_spec(3, rng), k)(
+            out = sector_apply(random_spec(3, rng), k)(
                 np.zeros(math.comb(3, k), dtype=complex))
             assert np.all(out == 0)
 
@@ -150,7 +165,7 @@ class TestApplyHamiltonian:
                 out = h @ v
                 assert np.all(np.delete(out, idx) == 0), k
                 np.testing.assert_allclose(
-                    _sector_operator(spec, k)(v[idx]), out[idx], atol=1e-12)
+                    sector_apply(spec, k)(v[idx]), out[idx], atol=1e-12)
 
 
 class TestSectorBasis:
@@ -202,7 +217,7 @@ class TestSectorEigensystem:
         (rec,) = spectral_measures([spec], basis_state(5, "00000"))
         assert rec.magnetization == 0 and rec.depth == 1
         # |0...0> eigenvalue equals the coupling sum (cross-check with H·v)
-        lam = _sector_operator(spec, 0)(np.ones(1))[0]
+        lam = sector_apply(spec, 0)(np.ones(1))[0]
         assert rec.eigenvalues[0, 0] == pytest.approx(lam, abs=1e-12)
         assert rec.eigenvalues[0, 0] == pytest.approx(sum(spec.couplings),
                                                       abs=1e-12)

@@ -80,8 +80,8 @@ def test_lanczos_matches_dense(n, rng):
 def test_records_carry_certificate(n, rng):
     spec = random_spec(n, rng)
 
-    def phases(nodes):
-        return np.exp(-1j * np.outer(TIMES, nodes))
+    def phases(nodes):  # nodes carry leading axes: a chunk of samples
+        return np.exp(-1j * TIMES[:, None] * nodes[..., None, :])
 
     for name, psi in sweep_states(n, rng).items():
         for rec in spectral_measures([spec], psi, phases):
