@@ -24,54 +24,43 @@ done.  Cost per sample: O(max schedule · bonds · d · K).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .hamiltonians import (
-    ConfigError,
-    CouplingSpec,
-    _check_bytes,
-    _sector_bytes,
-    _sector_pattern,
-    _state_array,
-    occupied_magnetizations,
-    spectral_sum,
-)
+from .hamiltonians import ConfigError, CouplingSpec, _sectors, spectral_sum
 from .states import StateVector
 
 
-def _strang_sectors(spec: CouplingSpec, vec: np.ndarray, times, steps):
+def _strang_sectors(specs, psi, times, steps):
     """The Strang circuit with steps[l] steps of dt = times[l]/steps[l], for
-    all l in one pass: per occupied sector of vec, (basis states, component
-    c, V) with V[:, l] the evolved component for time l."""
-    n, j, steps = spec.n, np.asarray(spec.couplings), np.asarray(steps)
+    all l in one pass: per occupied sector of psi and then per spec of the
+    batch, (the spec's row, basis states, component c, V) with V[:, l] the
+    evolved component for time l."""
+    n, steps = specs[0].n, np.asarray(steps)
     dt = np.asarray(times, dtype=float) / steps
     odd, even = range(1, n - 1, 2), range(0, n - 1, 2)
     live = (steps > np.arange(steps.max() + 1)[:, None]) * dt  # [s, l]: dt or 0
     layers = [(odd, live[0] / 2)]  # (bonds, each column's time step)
     for s in range(steps.max()):  # step s's last odd half meets s+1's first
         layers += [(even, live[s]), (odd, (live[s] + live[s + 1]) / 2)]
-    gates = [m for bonds, _ in layers for m in bonds]
-    theta = np.array([j[m] * tau for bonds, tau in layers for m in bonds])
-    coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2c·Π)
-    phase = np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}, deferred
-    sectors = occupied_magnetizations(n, vec)
-    for k in sectors:  # refused before any sector is built
-        _check_bytes(_sector_bytes(n, k, 32 * len(dt)),  # two (d, K+1) copies
-                     f"Strang sweep (n={n}, magnetization={k})",
-                     "pattern and components")
-    for k in sectors:
-        states, _, pairs, cut = _sector_pattern(n, k)
-        c = vec[states]
-        v = np.repeat(c[:, None], len(dt), axis=1)
-        for m, cm in zip(gates, coeff):  # Π_m v = (v_a - v_b)(a - b)/2
-            ab = pairs[:, cut[m]:cut[m + 1]]  # bond m's a row and b row
-            w = v.take(ab, axis=0)  # (2, pairs, K+1): a rows, b rows
-            d = (w[0] - w[1]) * cm
-            w[0] += d
-            w[1] -= d
-            v[ab] = w
-        v *= phase
-        yield states, c, v
+    gates, taus = zip(*[(m, tau) for bonds, tau in layers for m in bonds])
+    for _, (states, _, pairs, cut), c in _sectors(specs, psi, lambda k: (
+            32 * len(dt) * math.comb(n, k), "pattern and components")):
+        for row, spec in enumerate(specs):  # two (d, K+1) copies at a time
+            j = spec.couplings
+            theta = np.array([j[m] * tau for m, tau in zip(gates, taus)])
+            coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2cΠ)
+            v = np.repeat(c[:, None], len(dt), axis=1)
+            for m, cm in zip(gates, coeff):  # Π_m v = (v_a - v_b)(a - b)/2
+                ab = pairs[:, cut[m]:cut[m + 1]]  # bond m's a row and b row
+                w = v.take(ab, axis=0)  # (2, pairs, K+1): a rows, b rows
+                d = (w[0] - w[1]) * cm
+                w[0] += d
+                w[1] -= d
+                v[ab] = w
+            v *= np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}
+            yield row, states, c, v
 
 
 def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
@@ -84,8 +73,7 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     if n_step < 1:
         raise ConfigError(f"n_step must be >= 1, got {n_step}")
     out = np.zeros(2**spec.n, dtype=complex)
-    for states, _, evolved in _strang_sectors(spec, _state_array([spec], v),
-                                              [t], [n_step]):
+    for _, states, _, evolved in _strang_sectors([spec], v, [t], [n_step]):
         out[states] = evolved[:, 0]
     return StateVector(n=spec.n, amplitudes=out)
 
@@ -104,12 +92,11 @@ def amplitude_rows(specs, psi: StateVector, times,
                               f"{len(times)} times")
         if min(schedule) < 1:
             raise ConfigError(f"all step counts must be >= 1, got {schedule}")
-        vec = _state_array(specs, psi)
-        # einsum: a threaded BLAS call this small stalls on busy cores
-        return np.array([sum(np.einsum("d,dl->l", np.conj(c), evolved)
-                             for _, c, evolved in _strang_sectors(
-                                 spec, vec, times, schedule))
-                         for spec in specs])
+        out = np.zeros((len(specs), len(times)), dtype=complex)
+        for row, _, c, evolved in _strang_sectors(specs, psi, times, schedule):
+            # einsum: a threaded BLAS call this small stalls on busy cores
+            out[row] += np.einsum("d,dl->l", np.conj(c), evolved)
+        return out
 
     def phases(nodes):
         return np.exp(-1j * (times[:, None] * nodes[..., None, :]))

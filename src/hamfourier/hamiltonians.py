@@ -10,7 +10,8 @@ the full 2^n matrix, for a batch of specs at once (spectral_measures): by
 certified Lanczos quadrature, chunks of samples in lockstep on matrix-free
 H·V, or by stacked dense eigh per total-spin block ([H, S²] = 0).  Every
 sector kernel (H·V, the spin blocks, the Strang gates of evolution) reads
-one cached pattern per sector: its basis, Z Z signs and bonds' flip pairs.
+one cached pattern per sector: its basis, Z Z signs and bonds' flip pairs,
+reached only through _sectors, which holds each path to SECTOR_BYTES_CAP.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-#: Largest sector block either oracle handles (covers n=16 at half
-#: filling): the dense one holds d×d matrices, the Lanczos one a d-vector
-#: per Krylov step.  Exceeding it raises ConfigError.
-SECTOR_DIM_CAP = 20_000
-
 #: Lanczos certificate: the depth grows by LANCZOS_STEP until the requested
 #: integrals move by at most LANCZOS_TOL·max(1, |value|) between checkpoints.
 LANCZOS_TOL = 1e-13
@@ -34,11 +30,15 @@ LANCZOS_STEP = 8
 #: Smaller sectors are diagonalized densely.  ms per sample (one BLAS thread,
 #: K=11 features/exp label, batches of 55, median of 3 runs), dense vs
 #: Lanczos: d=70 0.37/0.33 vs 0.45/0.13; d=126 1.1/1.0 vs 0.56/0.16; d=252
-#: 3.6/3.4 vs 0.72/0.26 (kept at 100: moving it re-baselines n=8 rows).
+#: 3.6/3.4 vs 0.72/0.26.  Kept at 100: 2,000 n=8 samples take 0.52-0.61 s
+#: of amplitudes dense against 0.77-0.86 s Lanczos (exp labels 0.46-0.57 s
+#: against 0.19 s), and step labels are dense at any d.
 LANCZOS_MIN_DIM = 100
-#: Largest cache of one sector path: a dense sector's spin blocks (n=14 at
-#: half filling keeps 372 MB, build peak 1,052 MB), a Strang sweep's pattern
-#: and components.
+#: The one memory budget, checked by _sectors from math.comb before any
+#: sector is built: a sector's cached pattern plus the path's own arrays, a
+#: dense sector's spin blocks (n=14 at half filling keeps 372 MB, build peak
+#: 1,052 MB), a Lanczos chunk or a Strang sweep's components.  It also caps
+#: a dense state (states.basis_state).
 SECTOR_BYTES_CAP = 10**9
 #: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
 #: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
@@ -117,17 +117,6 @@ def spectral_bound(spec: CouplingSpec) -> float:
     return 3.0 * float(np.sum(np.abs(spec.couplings)))
 
 
-def _state_array(specs, v) -> np.ndarray:
-    """The amplitudes of v for a batch of specs, which must share n."""
-    n = specs[0].n
-    if any(spec.n != n for spec in specs):
-        raise ConfigError("a batch of specs must share n")
-    vec = np.asarray(getattr(v, "amplitudes", v))
-    if vec.shape != (2**n,):
-        raise ConfigError(f"state has shape {vec.shape}, expected ({2**n},)")
-    return vec
-
-
 @functools.lru_cache(maxsize=32)
 def _sector_pattern(n: int, magnetization: int):
     """Coupling-independent structure of one sector block, built once per
@@ -182,19 +171,42 @@ def _sector_operator(couplings, magnetization: int):
     return apply
 
 
-def _check_bytes(size: int, subject: str, what: str) -> None:
-    """Refuse a cache estimated at size bytes above SECTOR_BYTES_CAP."""
-    if size > SECTOR_BYTES_CAP:
-        raise ConfigError(f"{subject} needs {size / 1e9:.1f} GB of {what} > "
-                          f"cap {SECTOR_BYTES_CAP / 1e9:g} GB")
-
-
-def _sector_bytes(n: int, k: int, per_state: int = 0) -> int:
-    """Bytes of _sector_pattern(n, k) from counts (8 per state and Z Z sign,
-    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset), plus
-    per_state bytes for each state of the sector."""
+def _sector_bytes(n: int, k: int) -> int:
+    """Bytes of _sector_pattern(n, k) from counts: 8 per state and Z Z sign,
+    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset."""
     pairs = (n - 1) * (k and math.comb(n - 2, k - 1))
-    return (8 * n + per_state) * math.comb(n, k) + 16 * pairs + 8 * n
+    return 8 * n * math.comb(n, k) + 16 * pairs + 8 * n
+
+
+def _lanczos_bytes(n: int, k: int, b: int) -> int:
+    """Bytes of a Lanczos chunk of b samples on sector k: per sample three
+    complex Krylov rows, the Z Z diagonal's (n-1, d) product, and the 2P
+    flip terms with their flat row index; and the chunk's 2P columns."""
+    d, pairs = math.comb(n, k), (n - 1) * math.comb(n - 2, k - 1)
+    return b * (48 * d + 8 * (n - 1) * d + 32 * pairs) + 16 * pairs
+
+
+def _sectors(specs, v, extra_bytes):
+    """The one way into a state's sectors for a batch of specs sharing n:
+    (k, pattern, component) for each sector k where v is exactly nonzero,
+    ascending.  extra_bytes(k) gives the calling path's bytes on sector k
+    and what they hold; with the pattern's, every sector's total is held
+    to SECTOR_BYTES_CAP before any sector is built."""
+    n = specs[0].n
+    if any(spec.n != n for spec in specs):
+        raise ConfigError("a batch of specs must share n")
+    vec = np.asarray(getattr(v, "amplitudes", v))
+    if vec.shape != (2**n,):
+        raise ConfigError(f"state has shape {vec.shape}, expected ({2**n},)")
+    sectors = sorted({int(i).bit_count() for i in np.flatnonzero(vec)})
+    for k in sectors:
+        size, what = extra_bytes(k)
+        if (size := size + _sector_bytes(n, k)) > SECTOR_BYTES_CAP:
+            raise ConfigError(f"sector (n={n}, magnetization={k}) needs "
+                              f"{size / 1e9:.1f} GB of {what} > cap "
+                              f"{SECTOR_BYTES_CAP / 1e9:g} GB")
+    patterns = map(functools.partial(_sector_pattern, n), sectors)  # lazy
+    return ((k, p, vec[p[0]]) for k, p in zip(sectors, patterns))
 
 
 @functools.lru_cache(maxsize=32)
@@ -206,11 +218,6 @@ def _spin_blocks(n: int, magnetization: int):
     SWAP_ij + n(4-n)/4, so Q_Sᵀ H Q_S' = 0 for S != S' (Weiße & Fehske,
     Lect. Notes Phys. 739, 2008).  Eigenspaces are told apart by 2S, an
     integer (S itself is a half-integer at odd n)."""
-    dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2 - t
-            for t in range(min(magnetization, n - magnetization) + 1)]
-    _check_bytes(8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2),
-                 f"dense sector (n={n}, magnetization={magnetization})",
-                 "spin blocks")
     states, signs, pairs, cut = _sector_pattern(n, magnetization)
     ones, (a, b) = magnetization, pairs
     bonds = np.repeat(np.arange(n - 1), np.diff(cut))  # each pair's bond
@@ -231,12 +238,6 @@ def _spin_blocks(n: int, magnetization: int):
     return tuple(blocks)
 
 
-def occupied_magnetizations(n: int, vec: np.ndarray) -> list[int]:
-    """Sectors carrying exactly nonzero amplitude (exact-zero test, so basis
-    and superposition states never trigger spurious large-sector work)."""
-    return sorted({int(i).bit_count() for i in np.nonzero(vec)[0]})
-
-
 def spectral_measures(specs, v, integrand=None):
     """Measures of a state v under a batch of specs sharing n: yields the
     records of ψ's occupied sectors in ascending order, each sector's
@@ -247,15 +248,25 @@ def spectral_measures(specs, v, integrand=None):
     (θ_j, u_j) are the nodes and weights ||c||²·u_j[0]², exact to degree
     2m-1 (Golub & Meurant, 2010), deep enough that the integrals settle of
     integrand(θ), which maps nodes (..., m) to values (..., [J,] m)."""
-    n, vec = specs[0].n, _state_array(specs, v)
+    n = specs[0].n
+
+    def chunk(k):  # samples per Lanczos chunk, 0 on the dense path
+        dim = math.comb(n, k)
+        return 0 if integrand is None or dim < LANCZOS_MIN_DIM else min(
+            len(specs), max(1, STACK_ENTRIES // (3 * dim)))
+
+    def extra_bytes(k):  # a Lanczos chunk, or every Q_S and bond operator
+        if size := chunk(k):
+            return _lanczos_bytes(n, k, size), "pattern and Lanczos chunk"
+        dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2-t
+                for t in range(min(k, n - k) + 1)]
+        size = 8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2)
+        return size, "spin blocks"
+
+    sectors = _sectors(specs, v, extra_bytes)  # checks specs share n
     couplings = np.array([spec.couplings for spec in specs])
-    for k in occupied_magnetizations(n, vec):
-        if (dim := math.comb(n, k)) > SECTOR_DIM_CAP:
-            raise ConfigError(f"sector (n={n}, magnetization={k}) has "
-                              f"dimension {dim} > cap {SECTOR_DIM_CAP}")
-        comp = vec[_sector_pattern(n, k)[0]]
-        if integrand is not None and dim >= LANCZOS_MIN_DIM:
-            size = max(1, STACK_ENTRIES // (3 * dim))
+    for k, _, comp in sectors:
+        if size := chunk(k):
             for start in range(0, len(specs), size):
                 yield from _lanczos(couplings[start:start + size], k, comp,
                                     integrand)
@@ -269,7 +280,7 @@ def spectral_measures(specs, v, integrand=None):
             probs = [np.abs(u.transpose(0, 2, 1) @ x) ** 2  # real u
                      for (_, u), (x, _) in zip(eigs, blocks)]
             yield SpectralMeasure(k, np.hstack([lam for lam, _ in eigs]),
-                                  np.hstack(probs), dim, 0.0)
+                                  np.hstack(probs), len(comp), 0.0)
 
 
 def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:

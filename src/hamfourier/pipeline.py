@@ -232,12 +232,24 @@ def _by_state(rows, compute) -> list:
 
 
 def read_dataset(path) -> list[tuple[CouplingSpec, object, float]]:
+    """(spec, state descriptor, y) per record; a line that is not a JSON
+    record with n, couplings, state and y is refused with its number."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        rows.append((coupling_from_record(rec), rec["state"], float(rec["y"])))
+        try:
+            rec = json.loads(line)
+            rows.append((coupling_from_record(rec), rec["state"],
+                         float(rec["y"])))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path} line {number} is not JSON: {err.msg}"
+                              ) from None
+        except KeyError as err:
+            raise ConfigError(f"{path} line {number} has no {err} key"
+                              ) from None
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path} line {number}: {err}") from None
     return rows
 
 
@@ -259,7 +271,25 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
 
 
 def read_features(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The rows under the header; the first line that is not a row of
+    numbers as wide as the header is refused with its number."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        header, *lines = Path(path).read_text().splitlines()
+        for number, line in enumerate(lines, 2):
+            if line.strip() and not _is_row(line, header.count(",") + 1):
+                raise ConfigError(f"{path} line {number} is not a row of "
+                                  f"numbers as wide as the header: {line!r}"
+                                  ) from None
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _is_row(line: str, width: int) -> bool:
+    try:
+        return len(np.array(line.split(","), dtype=float)) == width
+    except ValueError:
+        return False
 
 
 # --- training stage ------------------------------------------------------

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hamiltonians
 from .hamiltonians import ConfigError
 
 NORM_TOL = 1e-10
@@ -33,13 +34,17 @@ class StateVector:
 
 
 def basis_state(n: int, bitstring: str) -> StateVector:
-    """Unit vector on one computational basis element."""
+    """Unit vector on one computational basis element, refused before it is
+    allocated if its 2^n complex amplitudes exceed SECTOR_BYTES_CAP."""
     if len(bitstring) != n:
         raise ConfigError(
             f"bitstring {bitstring!r} has {len(bitstring)} bits, expected {n}"
         )
     if set(bitstring) - {"0", "1"}:
         raise ConfigError(f"bitstring {bitstring!r} has non-binary characters")
+    if (size := 16 * 2**n) > (cap := hamiltonians.SECTOR_BYTES_CAP):
+        raise ConfigError(f"a dense {n}-qubit state needs {size / 1e9:.1f} GB "
+                          f"> cap {cap / 1e9:g} GB")
     amps = np.zeros(2**n, dtype=complex)
     amps[int(bitstring, 2)] = 1.0
     return StateVector(n=n, amplitudes=amps)

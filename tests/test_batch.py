@@ -59,7 +59,8 @@ def spin_entries(n, k):
 
 def largest_dense_entries(n, psi):
     return max((spin_entries(n, k)
-                for k in hm.occupied_magnetizations(n, psi.amplitudes)
+                for k in {int(i).bit_count()
+                          for i in np.flatnonzero(psi.amplitudes)}
                 if math.comb(n, k) < hm.LANCZOS_MIN_DIM), default=1)
 
 

@@ -13,6 +13,7 @@ from hamfourier.hamiltonians import (
     CouplingSpec,
     _sector_bytes,
     _sector_pattern,
+    _spin_blocks,
     spectral_sum,
 )
 from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
@@ -190,13 +191,15 @@ class TestStrangKernel:
     def test_refuses_a_sweep_that_would_not_fit(self, rng):
         # n=24 at half filling: a 0.78 GB pattern and 2·d·(K+1)·16 bytes of
         # components (1.04 GB for 12 times) are refused before anything is
-        # built, so the pattern cache does not change
-        before = _sector_pattern.cache_info().currsize
+        # built or read, so neither sector cache changes
+        def caches():
+            return _sector_pattern.cache_info(), _spin_blocks.cache_info()
+        before = caches()
         with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) "
                            r"needs 1\.8 GB of pattern and components > cap"):
             amplitude_rows([random_spec(24, rng)], domain_wall(24),
                            np.arange(12.0), (1,) * 12)
-        assert _sector_pattern.cache_info().currsize == before
+        assert caches() == before
 
 
 class TestExactEvolve:

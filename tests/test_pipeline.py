@@ -599,6 +599,16 @@ class TestCli:
          "holds no JSON object"),
         (["generate", "--n", "16", "--num", "1", "--f", "step", "--out",
           "{tmp}/g.jsonl"], "needs 5.6 GB of spin blocks > cap 1 GB"),
+        (["generate", "--n", "40", "--num", "1", "--out", "{tmp}/g.jsonl"],
+         "a dense 40-qubit state needs 17592.2 GB > cap 1 GB"),
+        (TRAIN + ["--in", "{cut_record}", "--features", "{feats}"],
+         "cut_record line 3 is not JSON"),
+        (TRAIN + ["--in", "{no_couplings}", "--features", "{feats}"],
+         "no_couplings line 3 has no 'couplings' key"),
+        (TRAIN + ["--in", "{no_y}", "--features", "{feats}"],
+         "no_y line 3 has no 'y' key"),
+        (TRAIN + ["--in", "{data}", "--features", "{null_cell}"],
+         "null_cell line 3 is not a row of numbers as wide as the header"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
@@ -611,9 +621,15 @@ class TestCli:
         cmd_features(replace(SMALL, k=2), small_dataset, files["feats_k2"])
         records = small_dataset.read_text().splitlines(keepends=True)
         rows = files["feats"].read_text().splitlines(keepends=True)
+        no_couplings = '{"n": 4, "state": "domain_wall", "y": 0.5}\n'
+        no_y = '{"n": 2, "couplings": [1.0], "state": "domain_wall"}\n'
         for name, text in (("data7", records[:7]), ("feats5", rows[:6]),
                            ("data1", records[:1]), ("feats1", rows[:2]),
-                           ("cut_json", '{"n": 4,'), ("list_json", "[1]")):
+                           ("cut_json", '{"n": 4,'), ("list_json", "[1]"),
+                           ("cut_record", records[:2] + ['{"n": 4,\n']),
+                           ("no_couplings", records[:2] + [no_couplings]),
+                           ("no_y", records[:2] + [no_y]),
+                           ("null_cell", rows[:2] + ["1,null,0,1,0,1,0\n"])):
             files[name] = tmp_path / name
             files[name].write_text("".join(text))
         rc = main([arg.format(**files) for arg in argv])

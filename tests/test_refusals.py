@@ -25,3 +25,16 @@ def test_config_error_is_the_only_refusal_type():
                         _base_name(b).endswith(("Error", "Exception"))
                         for b in node.bases)]
     assert defined == [("hamiltonians.py", "ConfigError")]
+
+
+def test_one_memory_budget():
+    # every sector path and dense state is held to SECTOR_BYTES_CAP; a
+    # second module-level cap would be a second refusal rule
+    caps = [(path.name, name.id) for path in SOURCES
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name) and name.id.endswith("_CAP")]
+    assert caps == [("hamiltonians.py", "SECTOR_BYTES_CAP")]

@@ -6,23 +6,30 @@ each sector's Kronecker block, conftest) to 1e-12 across n = 4..12, for
 single-sector, multi-sector and complex (phase ±i) states, and every
 record must carry its certificate.
 Sectors below LANCZOS_MIN_DIM take the dense path, so Lanczos itself runs
-at n = 10 and 12 (and at n = 8 nowhere: its largest sector has d = 70).
+at n = 10 and 12 (and at n = 8 nowhere: its largest sector has d = 70), and
+at n = 18 against expm_multiply on the Kronecker sector block.  Every path
+refuses a sector over the one memory budget before touching a sector cache.
 The dense path diagonalizes each sector per total-spin block; the blocks
 are checked against the whole-sector oracle at n = 2..10 in every sector.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
+import hamfourier.hamiltonians as hm
 from hamfourier.evolution import amplitudes
 from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
     LANCZOS_TOL,
     ConfigError,
+    _lanczos_bytes,
+    _sector_bytes,
     _sector_pattern,
     _spin_blocks,
     spectral_measures,
@@ -30,8 +37,9 @@ from hamfourier.hamiltonians import (
 from hamfourier.labels import FunctionSpec, label
 from hamfourier.states import StateVector, basis_state, domain_wall
 
-from conftest import (dense_measure, random_sector_state, random_spec,
-                      sector_block, sector_eigensystem, spin_dims, superpose)
+from conftest import (dense_measure, kronecker_sum, random_sector_state,
+                      random_spec, sector_block, sector_eigensystem,
+                      sector_indices, spin_dims, superpose)
 
 K, C = 11, 3.0
 TIMES = np.arange(K + 1) * np.pi / C
@@ -164,18 +172,79 @@ def test_sector_pattern_is_cached_and_read_only():
     assert not any(arr.flags.writeable for arr in pattern)
 
 
+def sector_caches():
+    """Calls and entries of both sector caches: a refusal leaves them as
+    they were, so nothing is built or read before it."""
+    return _sector_pattern.cache_info(), _spin_blocks.cache_info()
+
+
 def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):
     # an n=16 step label would cache 5.6 GB of spin blocks: refused before
-    # anything is built, so the cache does not change
-    before = _spin_blocks.cache_info().currsize
+    # anything is built, so neither cache changes
+    before = sector_caches()
     step = FunctionSpec("step", C, 0.1)
     with pytest.raises(ConfigError, match=r"needs 5\.6 GB of spin blocks"):
         label(random_spec(16, rng), domain_wall(16), step)
-    assert _spin_blocks.cache_info().currsize == before
+    assert sector_caches() == before
 
 
 def test_lanczos_respects_sector_cap(rng):
-    spec = random_spec(18, rng)
-    psi = random_sector_state(18, 9, rng)
-    with pytest.raises(ConfigError, match="> cap"):
-        amplitudes(spec, psi, TIMES)
+    # n=24 at half filling: the 0.78 GB pattern and one sample's chunk
+    # (Krylov rows, Z Z product, flip terms and their index) exceed the cap
+    before = sector_caches()
+    with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) needs "
+                       r"2\.2 GB of pattern and Lanczos chunk > cap 1 GB"):
+        amplitudes(random_spec(24, rng), domain_wall(24), TIMES)
+    assert sector_caches() == before
+
+
+def test_every_sector_is_checked_before_any_is_built(rng, monkeypatch):
+    # sectors k=1 (dense, 18 states) and k=9 (Lanczos, 48,620 states) at
+    # n=18 under a cap that k=9 exceeds: k=1 is not built first
+    n, budget = 18, _sector_bytes(18, 9) + _lanczos_bytes(18, 9, 1)
+    monkeypatch.setattr(hm, "SECTOR_BYTES_CAP", budget - 1)
+    psi = superpose(basis_state(n, _bits(n, 1)), basis_state(n, _bits(n, 9)),
+                    1j)
+    exp = FunctionSpec("exp", C, 0.5)
+    before = sector_caches()
+    with pytest.raises(ConfigError, match=r"\(n=18, magnetization=9\) needs"):
+        label(random_spec(n, rng), psi, exp)
+    assert sector_caches() == before
+    monkeypatch.setattr(hm, "SECTOR_BYTES_CAP", budget)
+    assert np.isfinite(label(random_spec(n, rng), psi, exp))
+
+
+@pytest.mark.parametrize("n", [12, 14])
+@pytest.mark.parametrize("phase", [1, 1j])
+def test_lanczos_estimate_bounds_a_chunk(n, phase, rng):
+    # tracemalloc sees numpy's buffers: one chunk's peak, pattern cached
+    k, d = n // 2, math.comb(n, n // 2)
+    b = hm.STACK_ENTRIES // (3 * d)
+    couplings = np.array([random_spec(n, rng).couplings for _ in range(b)])
+    comp = np.zeros(d, dtype=complex)
+    comp[[0, d // 2]] = np.array([1, phase]) / math.sqrt(2)
+    _sector_pattern(n, k)
+    tracemalloc.start()
+    try:
+        hm._lanczos(couplings, k, comp, lambda x: np.exp(
+            -1j * TIMES[:, None] * x[..., None, :]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _lanczos_bytes(n, k, b), (peak, _lanczos_bytes(n, k, b))
+
+
+def test_half_filling_at_18_matches_kronecker_oracle(rng):
+    # d = 48,620: the first sector the old 20,000-state cap refused
+    n = 18
+    spec, psi = random_spec(n, rng), basis_state(n, _bits(n, n // 2, 4))
+    idx = sector_indices(n, n // 2)
+    h = kronecker_sum(n, spec.couplings)[idx][:, idx]
+    comp = psi.amplitudes[idx]
+    evolved = expm_multiply(-1j * h, comp, start=TIMES[0], stop=TIMES[-1],
+                            num=len(TIMES), endpoint=True)
+    np.testing.assert_allclose(amplitudes(spec, psi, TIMES),
+                               evolved @ comp.conj(), rtol=0, atol=1e-12)
+    exp = FunctionSpec("exp", C, 0.5)
+    expected = np.vdot(comp, expm_multiply(-exp.param * h, comp)).real
+    assert abs(label(spec, psi, exp) - expected) <= 1e-12
