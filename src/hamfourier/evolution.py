@@ -12,14 +12,17 @@ for H_even (m = 0, 2, ...).  One step with dt = t/n_step is
     exp(-i dt/2 H_odd) · exp(-i dt H_even) · exp(-i dt/2 H_odd)
 
 and the last odd half of a step merges with the first of the next, so s
-steps are 2s+1 layers.  With P_m = X X + Y Y + Z Z = 1 - 4Π_m (Π_m projects
-on bond m's singlet), a gate e^{-iθP_m} = e^{-iθ}(1 + (e^{4iθ} - 1)Π_m) is
-one update per flip pair (a, b) of bond m, read from the sector's cached
-pattern (hamiltonians._sector_pattern); every gate's e^{-iθ} is deferred
-to one phase per time.  Gates conserve magnetization, so the circuit runs
-on ψ's occupied sectors with all times in one pass: a (d, K+1) component,
-one column per t_l, where θ = 0 (the identity) once schedule[l] steps are
-done.  Cost per sample: O(max schedule · bonds · d · K).
+steps are 2s+1 layers L_0 … L_2s, with L_i = L_{2s-i}.  With P_m = X X +
+Y Y + Z Z = 1 - 4Π_m (Π_m projects on bond m's singlet), a gate e^{-iθP_m}
+= e^{-iθ}(1 + (e^{4iθ} - 1)Π_m) is one update per flip pair (a, b) of bond
+m (hamiltonians._sector_pattern), its e^{-iθ} deferred to one phase per
+time.  Gates are complex symmetric, so U = W M Wᵀ (W = L_0 ⋯ L_{s-1},
+M = L_s = M^½ M^½) and <c|U|c> = φ'ᵀφ, φ = M^½ Wᵀ c and φ' that of c̄ (φ
+for a real c): s+1 layers (22 gates, not 38, for the 12-qubit schedule at
+n=12), run forward and back by trotter_evolve.  Gates conserve
+magnetization, so all times run in one pass per occupied sector of ψ: a
+(d, K+1) component, one column per t_l (2K+2 for [c | c̄]), with τ = 0
+after column l's middle.  Cost per sample: O((max schedule + 1)·bonds·d·K/2).
 """
 
 from __future__ import annotations
@@ -32,35 +35,35 @@ from .hamiltonians import ConfigError, CouplingSpec, _sectors, spectral_sum
 from .states import StateVector
 
 
-def _strang_sectors(specs, psi, times, steps):
-    """The Strang circuit with steps[l] steps of dt = times[l]/steps[l], for
-    all l in one pass: per occupied sector of psi and then per spec of the
-    batch, (the spec's row, basis states, component c, V) with V[:, l] the
-    evolved component for time l."""
+def _strang_sectors(specs, psi, times, steps, palindrome=False):
+    """Half the Strang circuit of steps[l] steps of dt = times[l]/steps[l],
+    all l in one pass: per occupied sector of psi, then per spec, (row, basis
+    states, V, phase) with V[:, l] = M^½ Wᵀ c, then c̄'s columns if psi is
+    not real; with palindrome, V[:, l] = U(t_l) c / phase[l]."""
     n, steps = specs[0].n, np.asarray(steps)
     dt = np.asarray(times, dtype=float) / steps
-    odd, even = range(1, n - 1, 2), range(0, n - 1, 2)
-    live = (steps > np.arange(steps.max() + 1)[:, None]) * dt  # [s, l]: dt or 0
-    layers = [(odd, live[0] / 2)]  # (bonds, each column's time step)
-    for s in range(steps.max()):  # step s's last odd half meets s+1's first
-        layers += [(even, live[s]), (odd, (live[s] + live[s + 1]) / 2)]
-    gates, taus = zip(*[(m, tau) for bonds, tau in layers for m in bonds])
+    i = np.arange(steps.max() + 1)[:, None]  # layer i's τ, a column per time
+    tau = np.where(i <= steps, dt, 0) / np.where((i == 0) | (i == steps), 2, 1)
+    gates, taus = map(np.array, zip(*[(m, tau[i]) for i in range(len(tau))
+                                      for m in range(1 - i % 2, n - 1, 2)]))
+    pair = not palindrome and np.any(np.imag(getattr(psi, "amplitudes", psi)))
     for _, (states, _, pairs, cut), c in _sectors(specs, psi, lambda k: (
-            32 * len(dt) * math.comb(n, k), "pattern and components")):
-        for row, spec in enumerate(specs):  # two (d, K+1) copies at a time
-            j = spec.couplings
-            theta = np.array([j[m] * tau for m, tau in zip(gates, taus)])
-            coeff = (np.exp(4j * theta) - 1) / 2  # e^{-iθP} = e^{-iθ}(1 + 2cΠ)
-            v = np.repeat(c[:, None], len(dt), axis=1)
-            for m, cm in zip(gates, coeff):  # Π_m v = (v_a - v_b)(a - b)/2
+            32 * (1 + pair) * len(dt) * math.comb(n, k),
+            "pattern and components")):
+        start = np.stack([c, c.conj()] if pair else [c], axis=1)
+        for row, spec in enumerate(specs):  # two (d, columns) copies at a time
+            theta = np.take(spec.couplings, gates)[:, None] * taus
+            coeff = np.tile(np.exp(4j * theta) - 1, 1 + pair) / 2
+            order = [*zip(gates, coeff)]  # e^{-iθP} = e^{-iθ}(1 + 2cΠ)
+            v = np.repeat(start, len(dt), axis=1)
+            for m, cm in (order + order[::-1]) if palindrome else order:
                 ab = pairs[:, cut[m]:cut[m + 1]]  # bond m's a row and b row
-                w = v.take(ab, axis=0)  # (2, pairs, K+1): a rows, b rows
-                d = (w[0] - w[1]) * cm
+                w = v.take(ab, axis=0)  # (2, pairs, columns): a rows, b rows
+                d = (w[0] - w[1]) * cm  # Π_m v = (v_a - v_b)(a - b)/2
                 w[0] += d
                 w[1] -= d
                 v[ab] = w
-            v *= np.exp(-1j * theta.sum(axis=0))  # every gate's e^{-iθ}
-            yield row, states, c, v
+            yield row, states, v, np.exp(-2j * theta.sum(axis=0))
 
 
 def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
@@ -73,8 +76,9 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     if n_step < 1:
         raise ConfigError(f"n_step must be >= 1, got {n_step}")
     out = np.zeros(2**spec.n, dtype=complex)
-    for _, states, _, evolved in _strang_sectors([spec], v, [t], [n_step]):
-        out[states] = evolved[:, 0]
+    for _, states, evolved, phase in _strang_sectors([spec], v, [t], [n_step],
+                                                     palindrome=True):
+        out[states] = evolved[:, 0] * phase[0]
     return StateVector(n=spec.n, amplitudes=out)
 
 
@@ -93,9 +97,10 @@ def amplitude_rows(specs, psi: StateVector, times,
         if min(schedule) < 1:
             raise ConfigError(f"all step counts must be >= 1, got {schedule}")
         out = np.zeros((len(specs), len(times)), dtype=complex)
-        for row, _, c, evolved in _strang_sectors(specs, psi, times, schedule):
-            # einsum: a threaded BLAS call this small stalls on busy cores
-            out[row] += np.einsum("d,dl->l", np.conj(c), evolved)
+        for row, _, phi, phase in _strang_sectors(specs, psi, times, schedule):
+            # φ'ᵀφ: φ' is c̄'s last K+1 columns, or φ itself for a real c
+            out[row] += phase * np.einsum("dl,dl->l", phi[:, -len(times):],
+                                          phi[:, :len(times)])
         return out
 
     def phases(nodes):

@@ -36,9 +36,9 @@ LANCZOS_STEP = 8
 LANCZOS_MIN_DIM = 100
 #: The one memory budget, checked by _sectors from math.comb before any
 #: sector is built: a sector's cached pattern plus the path's own arrays, a
-#: dense sector's spin blocks (n=14 at half filling keeps 372 MB, build peak
-#: 1,052 MB), a Lanczos chunk or a Strang sweep's components.  It also caps
-#: a dense state (states.basis_state).
+#: dense sector's spin blocks at their build's peak (n=12 at half filling:
+#: 96 MB for an 81 MB peak; n=14 is refused), a Lanczos chunk or a Strang
+#: sweep's components.  It also caps a dense state (states.basis_state).
 SECTOR_BYTES_CAP = 10**9
 #: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
 #: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
@@ -147,7 +147,8 @@ def _sector_operator(couplings, magnetization: int):
     bonds and rows in one bincount at flat index b·d + row."""
     j = np.asarray(couplings, dtype=float)
     _, signs, pairs, cut = _sector_pattern(j.shape[1] + 1, magnetization)
-    diag = (j[:, :, None] * signs).sum(axis=1)
+    diag = sum((j[:, m, None] * signs[m] for m in range(1, len(signs))),
+               j[:, 0, None] * signs[0])  # bond by bond: (B, d) at a time
     # bond by bond, its a's then its b's: each row's terms stay in bond
     # order, and each half reads and writes ascending indices
     bonds = [pairs[:, lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
@@ -179,11 +180,12 @@ def _sector_bytes(n: int, k: int) -> int:
 
 
 def _lanczos_bytes(n: int, k: int, b: int) -> int:
-    """Bytes of a Lanczos chunk of b samples on sector k: per sample three
-    complex Krylov rows, the Z Z diagonal's (n-1, d) product, and the 2P
-    flip terms with their flat row index; and the chunk's 2P columns."""
+    """Bytes of a Lanczos chunk of b samples on sector k at its peak, as
+    samples retire (H·V's 2P flip terms take less): per sample three complex
+    Krylov rows, compacted copies of two, and the old and new operators'
+    Z Z diagonals and 2P row indexes; per chunk their 2P columns and more."""
     d, pairs = math.comb(n, k), (n - 1) * math.comb(n - 2, k - 1)
-    return b * (48 * d + 8 * (n - 1) * d + 32 * pairs) + 16 * pairs
+    return b * (96 * d + 32 * pairs) + 48 * pairs
 
 
 def _sectors(specs, v, extra_bytes):
@@ -255,13 +257,16 @@ def spectral_measures(specs, v, integrand=None):
         return 0 if integrand is None or dim < LANCZOS_MIN_DIM else min(
             len(specs), max(1, STACK_ENTRIES // (3 * dim)))
 
-    def extra_bytes(k):  # a Lanczos chunk, or every Q_S and bond operator
+    def extra_bytes(k):  # a Lanczos chunk, or the spin blocks' build
         if size := chunk(k):
             return _lanczos_bytes(n, k, size), "pattern and Lanczos chunk"
         dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2-t
                 for t in range(min(k, n - k) + 1)]
-        size = 8 * ((n - 1) * sum(d * d for d in dims) + sum(dims)**2)
-        return size, "spin blocks"
+        d, pairs = sum(dims), (n - 1) * (k and math.comb(n - 2, k - 1))
+        # every Q_S and bond operator, S², eigh's copy and workspace (3d²),
+        # the largest block's P_m Q_S and its three gathered (P, d_S) rows
+        return 8 * ((n - 1) * sum(x * x for x in dims) + 5 * d * d + max(
+            dims) * ((n - 1) * d + 3 * pairs)), "spin blocks"
 
     sectors = _sectors(specs, v, extra_bytes)  # checks specs share n
     couplings = np.array([spec.couplings for spec in specs])

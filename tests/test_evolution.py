@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
+import hamfourier.hamiltonians as hm
 from hamfourier.evolution import (
     amplitude_rows,
     amplitudes,
@@ -135,18 +137,19 @@ class TestTrotterEvolve:
             trotter_evolve(random_spec(4, rng), domain_wall(4), 1.0, 0)
 
 
-def strang_oracle(spec, t, n_step):
-    """The full 2^n Strang circuit as a product of np.kron-expanded expm
-    bond gates, independent of the sector kernel."""
+def sparse_strang(spec, t, n_step, amps):
+    """The Strang circuit with n_step steps on the columns of amps, every
+    layer of every step in order, each gate a sparse Kronecker product of an
+    expm bond gate: independent of the sector kernel and its half circuit."""
     n, dt = spec.n, t / n_step
-    step = np.eye(2**n, dtype=complex)
-    for parity, tau in ((1, dt / 2), (0, dt), (1, dt / 2)):
+    for parity, tau in ((1, dt / 2), *((0, dt), (1, dt / 2), (1, dt / 2))
+                        * n_step)[:-1]:
         for m, j in enumerate(spec.couplings):
             if m % 2 == parity:
-                ops = [IDENTITY] * (n - 1)
-                ops[m] = expm(-1j * j * tau * BOND)
-                step = kron_chain(ops) @ step
-    return np.linalg.matrix_power(step, n_step)
+                amps = sparse.kron(sparse.kron(
+                    sparse.identity(2**m), expm(-1j * j * tau * BOND)),
+                    sparse.identity(2**(n - m - 2)), format="csr") @ amps
+    return amps
 
 
 def multi_sector_state(n, rng):
@@ -167,14 +170,13 @@ class TestStrangKernel:
         psi = multi_sector_state(n, rng)
         times = np.array([0.0, 1.1, 2.3, 0.9, 3.7, 2.9])
         schedule = (2, 1, 2, 3, 4, 4)
-        oracles = [strang_oracle(spec, t, s)
+        evolved = [sparse_strang(spec, t, s, psi.amplitudes)
                    for t, s in zip(times, schedule)]
-        for t, s, u in zip(times, schedule, oracles):
+        for t, s, u_psi in zip(times, schedule, evolved):
             np.testing.assert_allclose(
-                trotter_evolve(spec, psi, t, s).amplitudes,
-                u @ psi.amplitudes, rtol=0, atol=1e-13)
-        expected = [np.vdot(psi.amplitudes, u @ psi.amplitudes)
-                    for u in oracles]
+                trotter_evolve(spec, psi, t, s).amplitudes, u_psi, rtol=0,
+                atol=1e-13)
+        expected = [np.vdot(psi.amplitudes, u_psi) for u_psi in evolved]
         np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
                                    expected, rtol=0, atol=1e-13)
 
@@ -200,6 +202,71 @@ class TestStrangKernel:
             amplitude_rows([random_spec(24, rng)], domain_wall(24),
                            np.arange(12.0), (1,) * 12)
         assert caches() == before
+
+
+def real_sector_state(n, k, rng):
+    amps = random_sector_state(n, k, rng).amplitudes.real
+    return StateVector(n=n, amplitudes=amps / np.linalg.norm(amps) + 0j)
+
+
+class CountingPairs(np.ndarray):
+    """A pattern's flip pairs that count the bond slices taken from them:
+    the Strang kernel takes one per gate update."""
+    slices = 0
+
+    def __getitem__(self, key):
+        CountingPairs.slices += isinstance(key, tuple)
+        return np.asarray(super().__getitem__(key))
+
+
+class TestHalfCircuit:
+    # amplitudes run layers 0..s-1 and the middle layer at half its τ and
+    # read A = φ'ᵀφ; trotter_evolve reads the same layers forward and back
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("schedule", [(2, 4, 2, 4), (3, 1, 3, 1)],
+                             ids=["middle-odd-group", "middle-even-group"])
+    def test_matches_kronecker_circuit(self, rng, n, schedule):
+        # real, complex and multi-sector states; schedules not monotone in
+        # l, a t = 0 column; n=2 has no odd bond
+        states = [real_sector_state(n, n // 2, rng),
+                  random_sector_state(n, n // 2, rng),
+                  multi_sector_state(n, rng)]
+        amps = np.column_stack([psi.amplitudes for psi in states])
+        times = np.array([1.3, 0.0, 3.4, 2.1])
+        for spec in (random_spec(n, rng), random_spec(n, rng)):
+            evolved = [sparse_strang(spec, t, s, amps)
+                       for t, s in zip(times, schedule)]
+            for col, psi in enumerate(states):
+                for t, s, u_amps in zip(times, schedule, evolved):
+                    np.testing.assert_allclose(
+                        trotter_evolve(spec, psi, t, s).amplitudes,
+                        u_amps[:, col], rtol=0, atol=1e-13)
+                expected = [np.vdot(psi.amplitudes, u_amps[:, col])
+                            for u_amps in evolved]
+                np.testing.assert_allclose(
+                    amplitudes(spec, psi, times, schedule), expected,
+                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("state", ["domain-wall", "complex"])
+    def test_amplitudes_apply_half_the_gates(self, rng, monkeypatch, state):
+        # 12 qubits, the 12Q schedule: layers 0..3 are 5 + 6 + 5 + 6 = 22
+        # gates per sample, where the whole circuit has 38; trotter_evolve
+        # reads the list forward and back, 44 for s = 3
+        pattern = hm._sector_pattern
+        monkeypatch.setattr(hm, "_sector_pattern", lambda n, k: (
+            *pattern(n, k)[:2], pattern(n, k)[2].view(CountingPairs),
+            pattern(n, k)[3]))
+        psi = (domain_wall(12) if state == "domain-wall"
+               else random_sector_state(12, 6, rng))
+        schedule = ExperimentConfig(k=11, schedule=SCHEDULE_12Q).feature_map(
+        ).schedule
+        specs = [random_spec(12, rng) for _ in range(3)]
+        CountingPairs.slices = 0
+        amplitude_rows(specs, psi, np.arange(12) * np.pi / 3, schedule)
+        assert CountingPairs.slices == 3 * 22
+        CountingPairs.slices = 0
+        trotter_evolve(specs[0], psi, 11 * np.pi / 3, 3)
+        assert CountingPairs.slices == 2 * 22
 
 
 class TestExactEvolve:

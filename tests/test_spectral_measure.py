@@ -15,7 +15,11 @@ are checked against the whole-sector oracle at n = 2..10 in every sector.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,21 +183,22 @@ def sector_caches():
 
 
 def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):
-    # an n=16 step label would cache 5.6 GB of spin blocks: refused before
-    # anything is built, so neither cache changes
+    # an n=16 step label would cache 5.6 GB of spin blocks and peak at
+    # 21 GB while building them: refused before anything is built, so
+    # neither cache changes
     before = sector_caches()
     step = FunctionSpec("step", C, 0.1)
-    with pytest.raises(ConfigError, match=r"needs 5\.6 GB of spin blocks"):
+    with pytest.raises(ConfigError, match=r"needs 21\.0 GB of spin blocks"):
         label(random_spec(16, rng), domain_wall(16), step)
     assert sector_caches() == before
 
 
 def test_lanczos_respects_sector_cap(rng):
     # n=24 at half filling: the 0.78 GB pattern and one sample's chunk
-    # (Krylov rows, Z Z product, flip terms and their index) exceed the cap
+    # (Krylov rows, Z Z diagonals, flip index and columns) exceed the cap
     before = sector_caches()
     with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) needs "
-                       r"2\.2 GB of pattern and Lanczos chunk > cap 1 GB"):
+                       r"2\.3 GB of pattern and Lanczos chunk > cap 1 GB"):
         amplitudes(random_spec(24, rng), domain_wall(24), TIMES)
     assert sector_caches() == before
 
@@ -232,6 +237,40 @@ def test_lanczos_estimate_bounds_a_chunk(n, phase, rng):
     finally:
         tracemalloc.stop()
     assert peak <= _lanczos_bytes(n, k, b), (peak, _lanczos_bytes(n, k, b))
+
+
+def test_spin_block_estimate_bounds_a_build(rng, monkeypatch):
+    # growth of the peak RSS (Linux VmHWM, which starts afresh at exec,
+    # unlike ru_maxrss) over one n=12 half-filling build in a new process;
+    # tracemalloc would miss eigh's LAPACK workspace.  The pattern is built
+    # and BLAS warmed up before the baseline is read
+    code = """
+import numpy as np
+from hamfourier.hamiltonians import _sector_pattern, _spin_blocks
+def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmHWM"))
+_sector_pattern(12, 6)
+x = np.linalg.eigh(np.eye(64) + 1)[1]
+x = x.T @ (x @ x)[None]
+before = hwm()
+_spin_blocks(12, 6)
+print(1024 * (hwm() - before))
+"""
+    src = str(Path(hm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    growth = int(out.stdout)
+    estimate = []
+
+    def sectors(specs, v, extra_bytes):  # the dense path's bytes, no build
+        estimate.append(extra_bytes(6)[0])
+        return iter(())
+
+    monkeypatch.setattr(hm, "_sectors", sectors)
+    list(hm.spectral_measures([random_spec(12, rng)], domain_wall(12)))
+    assert 40e6 < growth <= estimate[0], (growth, estimate)
 
 
 def test_half_filling_at_18_matches_kronecker_oracle(rng):
