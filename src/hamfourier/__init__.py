@@ -31,7 +31,7 @@ from .hamiltonians import (
     spectral_bound,
     spectral_measures,
 )
-from .labels import FunctionSpec, label, label_rows
+from .labels import FunctionSpec, label_rows
 from .pipeline import ExperimentConfig, cmd_reproduce
 from .regression import (
     DesignMatrix,

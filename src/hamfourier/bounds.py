@@ -7,10 +7,31 @@ validation of each bound lives in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .hamiltonians import ConfigError
+
+
+def _finite(evaluate):
+    """evaluate, refused (ConfigError) at inputs where a term or count it
+    returns is not a finite double: inf or nan, or on the way a float
+    overflow or a square that underflows to 0 and is divided by."""
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs):
+        try:
+            out = evaluate(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            out = math.inf
+        values = out.values() if isinstance(out, dict) else (
+            out if isinstance(out, tuple) else (out,))
+        if not all(math.isfinite(v) for v in values):
+            at = [*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())]
+            raise ConfigError(f"{evaluate.__name__} leaves the double range "
+                              f"at {', '.join(at)}")
+        return out
+    return checked
 
 
 @dataclass(frozen=True)
@@ -43,6 +64,7 @@ class BoundInputs:
                 raise ConfigError(f"{name} must be non-negative")
 
 
+@_finite
 def expected_loss_terms(b: BoundInputs) -> dict[str, float]:
     """The three summands of the noiseless expected-loss bound."""
     d = 2 * b.K + 1
@@ -55,12 +77,14 @@ def expected_loss_terms(b: BoundInputs) -> dict[str, float]:
     }
 
 
+@_finite
 def expected_loss_bound(b: BoundInputs) -> float:
     """eps_K² + 4(√(2K+1)·W + ||f||_∞)·W·√((2K+1)/N_d)
     + 3(√(2K+1)·W + ||f||_∞)²·√(log(2/δ)/(2 N_d))."""
     return sum(expected_loss_terms(b).values())
 
 
+@_finite
 def noise_terms(b: BoundInputs) -> dict[str, float]:
     """Extra summands when each feature carries additive noise <= eta."""
     d = 2 * b.K + 1
@@ -71,12 +95,14 @@ def noise_terms(b: BoundInputs) -> dict[str, float]:
     }
 
 
+@_finite
 def noisy_expected_loss_bound(b: BoundInputs) -> float:
     """Noisy-feature expected-loss bound: expected_loss_bound plus the two
     eta-dependent terms; reduces to expected_loss_bound at eta = 0."""
     return expected_loss_bound(b) + sum(noise_terms(b).values())
 
 
+@_finite
 def sufficient_parameters(eps: float, w_budget: float, f_inf: float) -> tuple[int, int]:
     """Sufficient (K, N_d) for expected loss <= eps with a Lipschitz target:
     K = ceil(ln(1/eps)/eps), N_d = ceil((W·||f||_∞·ln(1/eps)/eps)^4).
@@ -92,6 +118,7 @@ def sufficient_parameters(eps: float, w_budget: float, f_inf: float) -> tuple[in
     return math.ceil(rate), math.ceil((w_budget * f_inf * rate) ** 4)
 
 
+@_finite
 def hoeffding_shots(eta: float, delta: float, K: int) -> int:
     """Smallest N_shot with 2K+1 simultaneous per-feature errors <= eta at
     confidence 1 - delta: per-feature tail 2·exp(-N_shot·eta²/2) (±1-valued

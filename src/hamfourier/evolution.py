@@ -1,9 +1,10 @@
 """Time evolution under a coupling spec, and the amplitude layer of the
 feature map: amplitude_rows(specs, ψ, times, schedule) = <ψ|U(t_l)|ψ> for
-a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt} from
-one spectral measure of ψ per sample (hamiltonians.spectral_measures) or,
-when a schedule is given, the Strang circuit with schedule[l] steps
-(trotter_evolve: the circuit on a state, for one time).
+a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt}: one
+hamiltonians.spectral_sum of the phases e^{-iθt_l}, all times on one
+spectral measure of ψ per sample, or, when a schedule is given, the Strang
+circuit with schedule[l] steps (trotter_evolve: the circuit on a state,
+for one time).
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -103,11 +104,8 @@ def amplitude_rows(specs, psi: StateVector, times,
                                           phi[:, :len(times)])
         return out
 
-    def phases(nodes):
-        return np.exp(-1j * (times[:, None] * nodes[..., None, :]))
-
-    return spectral_sum(specs, psi, lambda nodes, weights: (
-        phases(nodes) @ weights[..., None])[..., 0], phases)
+    return spectral_sum(specs, psi, lambda nodes: np.exp(
+        -1j * (times[:, None] * nodes[..., None, :])))
 
 
 def amplitudes(spec: CouplingSpec, psi: StateVector, times,

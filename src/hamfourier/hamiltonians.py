@@ -288,13 +288,23 @@ def spectral_measures(specs, v, integrand=None):
                                   np.hstack(probs), len(comp), 0.0)
 
 
-def spectral_sum(specs, v, reduce, integrand=None) -> np.ndarray:
-    """Sum over occupied sectors of reduce(eigenvalues, probabilities), which
-    maps a record's (b, m) arrays to b rows, for every sample of the batch;
-    integrand is spectral_measures'."""
+def _integral(integrand, nodes, weights):
+    """sum_j w_j g(θ_j) per row of (b, m) nodes θ and weights w, g the
+    integrand, for spectral_sum's records and _lanczos's certificate alike:
+    a matrix-vector product per sample for (b, J, m) values, else a sum."""
+    values = integrand(nodes)
+    if values.ndim > weights.ndim:  # a block of J integrands
+        return (values @ weights[..., None])[..., 0]
+    return np.sum(weights * values, axis=-1)
+
+
+def spectral_sum(specs, v, integrand, dense=False) -> np.ndarray:
+    """<ψ|g(H)|ψ> for every sample of the batch, g = integrand (as in
+    spectral_measures) summed over occupied sectors; dense puts every sector
+    on the exact path (steps, where quadrature does not converge)."""
     total, sector, start = None, None, 0
-    for rec in spectral_measures(specs, v, integrand):  # reduced as made
-        part = reduce(rec.eigenvalues, rec.probabilities)
+    for rec in spectral_measures(specs, v, None if dense else integrand):
+        part = _integral(integrand, rec.eigenvalues, rec.probabilities)
         if total is None:  # zeros + part rounds like sum()'s 0 + part
             total = np.zeros((len(specs), *part.shape[1:]), part.dtype)
         if rec.magnetization != sector:  # each sector covers the batch anew
@@ -338,9 +348,7 @@ def _lanczos(couplings, k: int, comp: np.ndarray, integrand):
             nodes, u = np.linalg.eigh(t)
             weights = weight * u[:, 0] ** 2
             if checkpoint:
-                vals = integrand(nodes)
-                value = np.sum(vals * np.expand_dims(
-                    weights, tuple(range(1, vals.ndim - 1))), axis=-1)
+                value = _integral(integrand, nodes, weights)
                 change = np.abs(value - prev) / np.maximum(1.0, np.abs(value))
                 gaps = np.minimum(gaps, change.reshape(len(live), -1).max(1))
                 prev = value

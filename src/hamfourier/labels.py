@@ -1,10 +1,10 @@
 """Target functions f and exact labels y = Tr[f(H)ρ].
 
 Labels integrate f against the spectral measure of ψ: y = sum_j w_j f(θ_j),
-for a batch of specs at once (label_rows; label is the batch of one).  A
-smooth f uses the measure certified on y (as the exact features do); a
-step, where Gauss quadrature does not converge, the dense sector eigh in
-every sector.
+for a batch of specs at once (label_rows: one hamiltonians.spectral_sum
+with f as its integrand).  A smooth f uses the measure certified on y (as
+the exact features do); a step, where Gauss quadrature does not converge,
+the dense sector eigh in every sector.
 
 Sign convention: the sine-type basis functions carry a minus sign,
 matching the feature quadratures (x_sin,l = Im Tr[e^{-ilπH/C}ρ]
@@ -16,11 +16,12 @@ coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import ConfigError, CouplingSpec, spectral_sum
+from .hamiltonians import ConfigError, spectral_sum
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -59,6 +60,16 @@ class FunctionSpec:
             if len(self.coeffs) % 2 == 0:
                 raise ConfigError("fourier needs an odd number of coefficients "
                                   "(cos_0, sin_1, cos_1, ...)")
+        # before f is evaluated: it scales x by param (fourier: its terms
+        # by coeffs), and exp's sup-norm is e^{|param|·C}
+        what, size = (("sum |coeffs|", sum(map(abs, self.coeffs)))
+                      if self.kind == "fourier"
+                      else ("|param|·C", abs(self.param) * self.C))
+        if self.kind != "step" and not size <= (
+                math.log(sys.float_info.max) if self.kind == "exp"
+                else sys.float_info.max):
+            raise ConfigError(f"{self.kind} target: {what} = {size:.6g} puts "
+                              f"f or its sup-norm outside the double range")
         object.__setattr__(self, "sup_norm", self._sup_norm())
 
     def _sup_norm(self) -> float:
@@ -102,11 +113,4 @@ class FunctionSpec:
 def label_rows(specs, psi: StateVector, fspec: FunctionSpec) -> np.ndarray:
     """y = Tr[f(H)ρ] = sum_j w_j f(θ_j) for every spec of a batch sharing n;
     |y| <= sup_norm."""
-    return spectral_sum(specs, psi, lambda nodes, weights: np.sum(
-        weights * fspec(nodes), axis=-1),
-        None if fspec.kind == "step" else fspec)
-
-
-def label(spec: CouplingSpec, psi: StateVector, fspec: FunctionSpec) -> float:
-    """y = Tr[f(H)ρ] of one spec: label_rows' batch of one."""
-    return float(label_rows([spec], psi, fspec)[0])
+    return spectral_sum(specs, psi, fspec, dense=fspec.kind == "step")

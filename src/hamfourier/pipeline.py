@@ -36,6 +36,7 @@ from .regression import (
     DesignMatrix,
     Metrics,
     RegressionModel,
+    _ridge_path,
     evaluate,
     fit_constrained,
     fit_ols,
@@ -294,29 +295,26 @@ def _is_row(line: str, width: int) -> bool:
 
 # --- training stage ------------------------------------------------------
 
-def split_indices(num: int, split: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seeded shuffle; the first ceil(split·num) indices train."""
-    perm = substream(seed, ROLE_SPLIT).permutation(num)
+def split_indices(num: int, split: float, seed: int,
+                  role: int = ROLE_SPLIT) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded shuffle of the role's substream; the first
+    ceil(split·num) indices train."""
+    perm = substream(seed, role).permutation(num)
     n_train = math.ceil(split * num)
     return perm[:n_train], perm[n_train:]
 
 
 def _select_ridge_alpha(train: DesignMatrix, seed: int) -> float:
-    """Pick alpha from the fixed grid by MSE on a held-out fifth of train."""
-    perm = substream(seed, ROLE_VALID).permutation(train.n_samples)
-    n_fit = max(1, math.ceil(0.8 * train.n_samples))
-    fit_idx, val_idx = perm[:n_fit], perm[n_fit:]
+    """Pick alpha from the fixed grid by MSE on a held-out fifth of train,
+    every alpha's weights from one SVD of the other four fifths."""
+    fit_idx, val_idx = split_indices(train.n_samples, 0.8, seed, ROLE_VALID)
     if len(val_idx) == 0:
         return RIDGE_ALPHA_GRID[0]
-    fit = DesignMatrix(X=train.X[fit_idx], y=train.y[fit_idx])
-    best_alpha, best_mse = None, np.inf
-    for alpha in RIDGE_ALPHA_GRID:
-        model = fit_ridge(fit, alpha)
-        mse = float(np.mean((train.y[val_idx]
-                             - model.predict(train.X[val_idx])) ** 2))
-        if mse < best_mse:
-            best_alpha, best_mse = alpha, mse
-    return best_alpha
+    weights, _ = _ridge_path(DesignMatrix(X=train.X[fit_idx],
+                                          y=train.y[fit_idx]))
+    val = DesignMatrix(X=train.X[val_idx], y=train.y[val_idx])
+    return min(RIDGE_ALPHA_GRID, key=lambda alpha: evaluate(
+        RegressionModel(weights(alpha)), val).mse)
 
 
 def fit_model(config: ExperimentConfig, train: DesignMatrix) -> RegressionModel:

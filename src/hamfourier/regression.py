@@ -59,12 +59,6 @@ class RegressionModel:
                 "norm_budget": self.norm_budget,
                 "method": self.method}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionModel":
-        return cls(weights=np.asarray(d["weights"], dtype=float),
-                   norm_budget=d.get("norm_budget"),
-                   method=d.get("method", "ols"))
-
 
 @dataclass(frozen=True)
 class Metrics:

@@ -22,7 +22,7 @@ from hamfourier.features import (
     reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import sample_couplings, spectral_measures
-from hamfourier.labels import FunctionSpec, label, label_rows
+from hamfourier.labels import FunctionSpec, label_rows
 from hamfourier.pipeline import cmd_reproduce
 from hamfourier.regression import DesignMatrix, fit_constrained
 from hamfourier.rng import substream, substreams
@@ -170,7 +170,7 @@ def test_criterion_8_exact_expressibility():
     for _ in range(60):
         spec = random_spec(6, rng)
         xs.append(feature_vector(spec, psi, cfg))
-        ys.append(label(spec, psi, fspec))
+        ys.append(label_rows([spec], psi, fspec)[0])
     data = DesignMatrix(X=np.array(xs), y=np.array(ys))
     model = fit_constrained(data, w_budget)
     train_mse = float(np.mean((data.y - data.X @ model.weights) ** 2))

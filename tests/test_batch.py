@@ -20,7 +20,7 @@ import pytest
 import hamfourier.hamiltonians as hm
 from hamfourier.evolution import amplitude_rows
 from hamfourier.features import FeatureMapConfig, feature_rows, feature_vector
-from hamfourier.labels import FunctionSpec, label, label_rows
+from hamfourier.labels import FunctionSpec, label_rows
 from hamfourier.pipeline import ExperimentConfig, cmd_features, json_17g
 from hamfourier.states import basis_state, domain_wall
 
@@ -109,7 +109,7 @@ def test_label_rows_equal_single_samples(n, rng, small_stacks):
     for name, psi in mixed_states(n, rng).items():
         small_stacks(largest_dense_entries(n, psi))
         for fspec in targets:
-            singles = np.array([label(s, psi, fspec) for s in specs])
+            singles = np.array([label_rows([s], psi, fspec)[0] for s in specs])
             for size in batch_sizes(STACK):
                 np.testing.assert_array_equal(
                     label_rows(specs[:size], psi, fspec), singles[:size],
@@ -128,7 +128,7 @@ def test_default_stack_boundaries(rng):
     singles = np.array([feature_vector(s, psi, cfg, b)
                         for b, s in enumerate(specs)])
     step = FunctionSpec("step", C, 0.1)
-    labels = np.array([label(s, psi, step) for s in specs])
+    labels = np.array([label_rows([s], psi, step)[0] for s in specs])
     for size in batch_sizes(stack):
         np.testing.assert_array_equal(feature_rows(specs[:size], psi, cfg),
                                       singles[:size])
@@ -154,7 +154,7 @@ def test_lanczos_chunk_boundaries(phase, rng):
     times = np.arange(K + 1) * np.pi / C
     exp = FunctionSpec("exp", C, 1.0)
     singles = np.array([amplitude_rows([s], psi, times)[0] for s in specs])
-    labels = np.array([label(s, psi, exp) for s in specs])
+    labels = np.array([label_rows([s], psi, exp)[0] for s in specs])
     for size in batch_sizes(chunk)[1:]:
         np.testing.assert_array_equal(amplitude_rows(specs[:size], psi, times),
                                       singles[:size], err_msg=f"B={size}")

@@ -3,7 +3,7 @@ import pytest
 
 from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import ConfigError
-from hamfourier.labels import FunctionSpec, label
+from hamfourier.labels import FunctionSpec, label_rows
 from hamfourier.states import basis_state
 
 from conftest import random_sector_state, random_spec
@@ -96,12 +96,14 @@ class TestLabel:
         for n in (2, 4, 5):
             spec = random_spec(n, rng)
             psi = random_sector_state(n, n // 2, rng)
-            assert label(spec, psi, f_one) == pytest.approx(1.0, abs=1e-10)
+            assert label_rows([spec], psi, f_one)[0] == pytest.approx(
+                1.0, abs=1e-10)
 
     def test_n2_thermal_example(self):
         from hamfourier.hamiltonians import CouplingSpec
         spec = CouplingSpec(n=2, couplings=(1.0,))
-        y = label(spec, basis_state(2, "01"), FunctionSpec("exp", 3.0, 1.0))
+        y = label_rows([spec], basis_state(2, "01"),
+                       FunctionSpec("exp", 3.0, 1.0))[0]
         assert y == pytest.approx((np.exp(-1.0) + np.exp(3.0)) / 2, rel=1e-12)
 
     def test_feature_label_consistency(self, rng):
@@ -112,9 +114,9 @@ class TestLabel:
         x = feature_vector(spec, psi, FeatureMapConfig(K=3, C=3.0))
         for l in (1, 2, 3):
             t_l = l * np.pi / 3.0
-            assert label(spec, psi, FunctionSpec("cos", 3.0, t_l)) == (
+            assert label_rows([spec], psi, FunctionSpec("cos", 3.0, t_l))[0] == (
                 pytest.approx(x[2 * l], abs=1e-10))
-            assert label(spec, psi, FunctionSpec("sin", 3.0, t_l)) == (
+            assert label_rows([spec], psi, FunctionSpec("sin", 3.0, t_l))[0] == (
                 pytest.approx(x[2 * l - 1], abs=1e-10))
 
     def test_bounded_by_sup_norm(self, rng):
@@ -122,7 +124,8 @@ class TestLabel:
         for _ in range(10):
             spec = random_spec(5, rng)
             psi = random_sector_state(5, 2, rng)
-            assert abs(label(spec, psi, fspec)) <= fspec.sup_norm + 1e-12
+            y = label_rows([spec], psi, fspec)[0]
+            assert abs(y) <= fspec.sup_norm + 1e-12
 
     def test_fourier_labels_are_linear_in_features(self, rng):
         # with w = c the model reproduces the labels with zero residual
@@ -133,6 +136,6 @@ class TestLabel:
         for _ in range(5):
             spec = random_spec(4, rng)
             psi = random_sector_state(4, 2, rng)
-            y = label(spec, psi, fspec)
+            y = label_rows([spec], psi, fspec)[0]
             x = feature_vector(spec, psi, cfg)
             assert abs(y - coeffs @ x) <= 1e-10

@@ -12,6 +12,7 @@ import pytest
 from hamfourier.cli import main
 from hamfourier.hamiltonians import ConfigError
 from hamfourier.pipeline import (
+    RIDGE_ALPHA_GRID,
     SCHEDULE_12Q,
     SEED_ENV_VAR,
     ExperimentConfig,
@@ -26,9 +27,12 @@ from hamfourier.pipeline import (
     read_dataset,
     read_features,
     sidecar_path,
+    _select_ridge_alpha,
     split_indices,
     state_from_descriptor,
 )
+from hamfourier.regression import DesignMatrix, fit_ridge
+from hamfourier.rng import ROLE_VALID, substream
 
 SMALL = ExperimentConfig(n=4, num=24, seed=3, k=3, c=3.0, f_kind="exp",
                          beta=1.0, state="domain_wall", method="ols")
@@ -300,6 +304,30 @@ class TestTrainStage:
         metrics = cmd_train_eval(config, feats, data,
                                  tmp_path / "m.json", tmp_path / "s.json")
         assert metrics.r2 > 0.999
+
+
+    def test_ridge_grid_runs_one_svd(self, rng, monkeypatch):
+        # every alpha's weights come from one SVD of the fit rows, and the
+        # pick is that of seven separate fits scored by hand
+        svd, calls, picks = np.linalg.svd, [], set()
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for seed in range(30):
+            rows, cols = rng.integers(8, 60), rng.integers(2, 12)
+            x = rng.normal(size=(rows, cols)) * np.logspace(0, -4, cols)
+            y = x @ rng.normal(size=cols) + rng.normal(
+                scale=10.0 ** rng.uniform(-4, 0), size=rows)
+            calls.clear()
+            alpha = _select_ridge_alpha(DesignMatrix(X=x, y=y), seed)
+            assert len(calls) == 1
+            perm = substream(seed, ROLE_VALID).permutation(rows)
+            fit, val = np.split(perm, [math.ceil(0.8 * rows)])
+            mse = [np.mean((y[val] - x[val] @ fit_ridge(
+                DesignMatrix(X=x[fit], y=y[fit]), a).weights) ** 2)
+                for a in RIDGE_ALPHA_GRID]
+            assert alpha == RIDGE_ALPHA_GRID[int(np.argmin(mse))], seed
+            picks.add(alpha)
+        assert len(picks) >= 3  # the designs do not all pick one alpha
 
 
 class TestEndToEndDeterminism:
@@ -636,6 +664,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and message in err
+
+    BOUND_12 = ["bound", "--k", "11", "--f-inf", "1", "--num", "55",
+                "--delta", "0.1"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--f", "exp", "--beta", "300"],
+         "exp target: |param|·C = 900 puts f or its sup-norm outside"),
+        (["--f", "sin", "--beta", "1e308"], "sin target: |param|·C = inf"),
+        (["--f", "fourier", "--coeffs", "1e308,1e308,1e308"],
+         "fourier target: sum |coeffs| = inf"),
+        (BOUND_12 + ["--w-bound", "1e200"],
+         "expected_loss_terms leaves the double range at BoundInputs(K=11"),
+        (BOUND_12 + ["--w-bound", "1", "--epsilon", "1e-300"],
+         "sufficient_parameters leaves the double range at 1e-300, 1.0, 1.0"),
+        (BOUND_12 + ["--w-bound", "1", "--shot-eta", "1e-200"],
+         "hoeffding_shots leaves the double range at 1e-200, 0.1, 11"),
+    ])
+    def test_out_of_double_range_is_an_error_line(self, tmp_path, capsys,
+                                                  argv, message):
+        # refused before f or a bound is evaluated past the double range:
+        # no traceback, no null label, no dataset and no printed bound
+        out = tmp_path / "g.jsonl"
+        if argv[0] != "bound":
+            argv = ["generate", "--n", "4", "--num", "3", *argv,
+                    "--out", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_scatter_cli_modes(self, tmp_path, small_dataset, capsys):
         out = tmp_path / "sc.csv"

@@ -38,3 +38,25 @@ def test_one_memory_budget():
             for name in ast.walk(target)
             if isinstance(name, ast.Name) and name.id.endswith("_CAP")]
     assert caps == [("hamiltonians.py", "SECTOR_BYTES_CAP")]
+
+
+def test_every_public_function_has_a_caller():
+    # a public module-level function is called or named by the package
+    # (outside its own def and __init__.py; the CLI is cli.py) or by a demo,
+    # not only by tests.  trotter_evolve is the one exception: it stays as
+    # the one state-level entry to the Strang circuit, which the Kronecker
+    # tests need (ROADMAP item 5)
+    demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES + demos
+             if path.name != "__init__.py"}
+    names = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    uncalled = []
+    for path, tree in trees.items():
+        for node in tree.body if path in SOURCES else []:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                own = set(map(id, ast.walk(node)))
+                if not any(_base_name(ref) == node.name and id(ref) not in own
+                           for ref in names):
+                    uncalled.append(node.name)
+    assert uncalled == ["trotter_evolve"]

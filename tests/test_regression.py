@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hamfourier.features import FeatureMapConfig, feature_vector
+from hamfourier.pipeline import json_17g
 from hamfourier.regression import (
     DesignMatrix,
     Metrics,
@@ -168,11 +170,12 @@ class TestEvaluate:
 
 class TestModelSerialization:
     def test_roundtrip(self, rng):
+        # the model file is to_dict at 17 digits: its keys, weights bit-exact
         model = fit_constrained(random_problem(rng), 0.5)
-        back = RegressionModel.from_dict(model.to_dict())
-        np.testing.assert_allclose(back.weights, model.weights, atol=0)
-        assert back.norm_budget == model.norm_budget
-        assert back.method == "constrained"
+        back = json.loads(json_17g(model.to_dict()))
+        assert set(back) == {"weights", "norm_budget", "method"}
+        np.testing.assert_array_equal(back["weights"], model.weights)
+        assert back["norm_budget"] == 0.5 and back["method"] == "constrained"
 
     def test_metrics_dict_keys(self):
         m = Metrics(mse=0.5, r2=0.9, n_train=4, n_test=2)

@@ -26,7 +26,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 import hamfourier.hamiltonians as hm
-from hamfourier.evolution import amplitudes
+from hamfourier.evolution import amplitude_rows, amplitudes
 from hamfourier.features import FeatureMapConfig, feature_vector
 from hamfourier.hamiltonians import (
     LANCZOS_MIN_DIM,
@@ -38,7 +38,7 @@ from hamfourier.hamiltonians import (
     _spin_blocks,
     spectral_measures,
 )
-from hamfourier.labels import FunctionSpec, label
+from hamfourier.labels import FunctionSpec, label_rows
 from hamfourier.states import StateVector, basis_state, domain_wall
 
 from conftest import (dense_measure, kronecker_sum, random_sector_state,
@@ -84,7 +84,7 @@ def test_lanczos_matches_dense(n, rng):
         assert np.max(np.abs(amplitudes(spec, psi, TIMES) - a_dense)) <= 1e-12, name
         for fspec in targets(rng):
             y_dense = sum(np.sum(p * fspec(evals)) for evals, p in dense)
-            y = label(spec, psi, fspec)
+            y = label_rows([spec], psi, fspec)[0]
             assert abs(y - y_dense) <= 1e-12 * max(1.0, abs(y_dense)), (name, fspec.kind)
 
 
@@ -124,6 +124,40 @@ def test_invariant_krylov_space_exhausts_exactly(rng):
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("state", ["domain_wall", "two_sectors"])
+def test_certified_value_is_the_returned_value(state, rng, monkeypatch):
+    # _lanczos certifies each row by the _integral that spectral_sum then
+    # makes of its record, bit for bit: features and an exp label of 13
+    # n=12 samples, which cross the chunk of 11 (d=924) and sectors k=5, 6
+    n = 12
+    psi = domain_wall(n) if state == "domain_wall" else superpose(
+        basis_state(n, _bits(n, 5)), basis_state(n, _bits(n, 6)), 1j)
+    specs = [random_spec(n, rng) for _ in range(13)]
+    certified, parts, integral = {}, [], hm._integral
+
+    def recorded(integrand, nodes, weights):
+        value = integral(integrand, nodes, weights)
+        if sys._getframe(1).f_code.co_name == "_lanczos":  # a checkpoint
+            certified.update(zip(map(bytes, weights), value))
+        else:  # spectral_sum's record: one row, Lanczos records come singly
+            parts.append((bytes(weights[0]), value[0]))
+        return value
+
+    monkeypatch.setattr(hm, "_integral", recorded)
+    exp = FunctionSpec("exp", C, 1.0)
+    for rows in (lambda: amplitude_rows(specs, psi, TIMES),
+                 lambda: label_rows(specs, psi, exp)):
+        certified.clear()
+        parts.clear()
+        out = rows()
+        assert len(parts) == len(specs) * (1 + (state == "two_sectors"))
+        expected = np.zeros_like(out)
+        for i, (weights, part) in enumerate(parts):  # sectors in turn
+            assert bytes(certified[weights]) == bytes(part), i
+            expected[i % len(specs)] += part
+        assert bytes(expected) == bytes(out)
+
+
 def test_features_use_one_measure(rng, monkeypatch):
     import hamfourier.evolution as ev
     calls = []
@@ -145,7 +179,7 @@ def test_step_label_matches_dense(n, rng):
                        for evals, _ in dense) > 1e-9
             fspec = FunctionSpec("step", C, threshold)
             y_dense = sum(np.sum(p * fspec(evals)) for evals, p in dense)
-            assert abs(label(spec, psi, fspec) - y_dense) <= 1e-12
+            assert abs(label_rows([spec], psi, fspec)[0] - y_dense) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -189,7 +223,7 @@ def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):
     before = sector_caches()
     step = FunctionSpec("step", C, 0.1)
     with pytest.raises(ConfigError, match=r"needs 21\.0 GB of spin blocks"):
-        label(random_spec(16, rng), domain_wall(16), step)
+        label_rows([random_spec(16, rng)], domain_wall(16), step)
     assert sector_caches() == before
 
 
@@ -213,10 +247,10 @@ def test_every_sector_is_checked_before_any_is_built(rng, monkeypatch):
     exp = FunctionSpec("exp", C, 0.5)
     before = sector_caches()
     with pytest.raises(ConfigError, match=r"\(n=18, magnetization=9\) needs"):
-        label(random_spec(n, rng), psi, exp)
+        label_rows([random_spec(n, rng)], psi, exp)
     assert sector_caches() == before
     monkeypatch.setattr(hm, "SECTOR_BYTES_CAP", budget)
-    assert np.isfinite(label(random_spec(n, rng), psi, exp))
+    assert np.isfinite(label_rows([random_spec(n, rng)], psi, exp)[0])
 
 
 @pytest.mark.parametrize("n", [12, 14])
@@ -286,4 +320,4 @@ def test_half_filling_at_18_matches_kronecker_oracle(rng):
                                evolved @ comp.conj(), rtol=0, atol=1e-12)
     exp = FunctionSpec("exp", C, 0.5)
     expected = np.vdot(comp, expm_multiply(-exp.param * h, comp)).real
-    assert abs(label(spec, psi, exp) - expected) <= 1e-12
+    assert abs(label_rows([spec], psi, exp)[0] - expected) <= 1e-12
