@@ -16,19 +16,19 @@ and the last odd half of a step merges with the first of the next, so s
 steps are 2s+1 layers L_0 … L_2s, with L_i = L_{2s-i}.  With P_m = X X +
 Y Y + Z Z = 1 - 4Π_m (Π_m projects on bond m's singlet), a gate e^{-iθP_m}
 = e^{-iθ}(1 + (e^{4iθ} - 1)Π_m) is one update per flip pair (a, b) of bond
-m (hamiltonians._sector_pattern), its e^{-iθ} deferred to one phase per
+m (hamiltonians._pattern), its e^{-iθ} deferred to one phase per
 time.  Gates are complex symmetric, so U = W M Wᵀ (W = L_0 ⋯ L_{s-1},
 M = L_s = M^½ M^½) and <c|U|c> = φ'ᵀφ, φ = M^½ Wᵀ c and φ' that of c̄ (φ
 for a real c): s+1 layers (22 gates, not 38, for the 12-qubit schedule at
 n=12), run forward and back by trotter_evolve.  Gates conserve
-magnetization, so all times run in one pass per occupied sector of ψ: a
-(d, K+1) component, one column per t_l (2K+2 for [c | c̄]), with τ = 0
-after column l's middle.  Cost per sample: O((max schedule + 1)·bonds·d·K/2).
+magnetization and swap 01 <-> 10, so all times run in one pass per sector
+of ψ on the d states its support reaches through those layers
+(hamiltonians._cone; 196 of 924 for the n=12 domain wall): a (d, K+1)
+component, one column per t_l (2K+2 for [c | c̄]), with τ = 0 after column
+l's middle.  Cost per sample: O((max schedule + 1)·bonds·d·K/2).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -45,12 +45,13 @@ def _strang_sectors(specs, psi, times, steps, palindrome=False):
     dt = np.asarray(times, dtype=float) / steps
     i = np.arange(steps.max() + 1)[:, None]  # layer i's τ, a column per time
     tau = np.where(i <= steps, dt, 0) / np.where((i == 0) | (i == steps), 2, 1)
-    gates, taus = map(np.array, zip(*[(m, tau[i]) for i in range(len(tau))
-                                      for m in range(1 - i % 2, n - 1, 2)]))
+    layers = [range(1 - i % 2, n - 1, 2) for i in range(len(tau))]
+    gates, taus = map(np.array, zip(*[(m, tau[i]) for i, bonds in
+                                      enumerate(layers) for m in bonds]))
     pair = not palindrome and np.any(np.imag(getattr(psi, "amplitudes", psi)))
-    for _, (states, _, pairs, cut), c in _sectors(specs, psi, lambda k: (
-            32 * (1 + pair) * len(dt) * math.comb(n, k),
-            "pattern and components")):
+    for _, (states, _, pairs, cut), c in _sectors(specs, psi, lambda k, d: (
+            32 * (1 + pair) * len(dt) * d, "pattern and components"),
+            layers + layers[-2::-1] if palindrome else layers):
         start = np.stack([c, c.conj()] if pair else [c], axis=1)
         for row, spec in enumerate(specs):  # two (d, columns) copies at a time
             theta = np.take(spec.couplings, gates)[:, None] * taus

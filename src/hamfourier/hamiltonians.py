@@ -34,11 +34,11 @@ LANCZOS_STEP = 8
 #: of amplitudes dense against 0.77-0.86 s Lanczos (exp labels 0.46-0.57 s
 #: against 0.19 s), and step labels are dense at any d.
 LANCZOS_MIN_DIM = 100
-#: The one memory budget, checked by _sectors from math.comb before any
-#: sector is built: a sector's cached pattern plus the path's own arrays, a
-#: dense sector's spin blocks at their build's peak (n=12 at half filling:
-#: 96 MB for an 81 MB peak; n=14 is refused), a Lanczos chunk or a Strang
-#: sweep's components.  It also caps a dense state (states.basis_state).
+#: The one memory budget, checked by _sectors from counts before any
+#: sector is built: a sector's pattern plus the path's own arrays, a dense
+#: sector's spin blocks at their build's peak (n=12 at half filling: 78 MB
+#: for a 50 MB peak; n=14's is refused), a Lanczos chunk or a Strang sweep's
+#: components on ψ's cone.  It also caps a dense state (states.basis_state).
 SECTOR_BYTES_CAP = 10**9
 #: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
 #: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
@@ -119,25 +119,46 @@ def spectral_bound(spec: CouplingSpec) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _sector_pattern(n: int, magnetization: int):
-    """Coupling-independent structure of one sector block, built once per
-    (n, magnetization) and read-only: the basis states (ascending integers;
-    the position of a state is its row in the block), the Z_m Z_{m+1} sign
-    of every bond on every state (shape (n-1, d)), the flip pairs (a, b) of
-    every bond, a = |..01..> and b = |..10..> on qubits m, m+1, ascending
-    within a bond and the bonds in order (shape (2, P): the a row and the b
-    row), and offsets cut with bond m's pairs at pairs[:, cut[m]:cut[m+1]]."""
-    states = np.array(sorted(
+    """_pattern of a whole sector, built once per (n, magnetization)."""
+    return _pattern(n, np.array(sorted(
         sum(1 << (n - 1 - q) for q in ones)
         for ones in combinations(range(n), magnetization)
-    ), dtype=np.int64)
+    ), dtype=np.int64))
+
+
+def _pattern(n: int, states):
+    """Coupling-independent, read-only structure of d basis states of one
+    sector (ascending integers, a state's position its row): the states, the
+    Z_m Z_{m+1} sign of every bond on every state (shape (n-1, d)), the flip
+    pairs (a, b) of every bond with both ends among the states, a = |..01..>
+    and b = |..10..> on qubits m, m+1, ascending within a bond and the bonds
+    in order (shape (2, P)), and bond m's at pairs[:, cut[m]:cut[m+1]]."""
     bits = (states >> (n - 1 - np.arange(n))[:, None]) & 1  # bits[q] = qubit q
     signs = np.where(bits[:-1] != bits[1:], -1.0, 1.0)
     bonds, a = np.nonzero(bits[:-1] < bits[1:])  # |01> on qubits m, m+1
-    b = np.searchsorted(states, states[a] ^ (3 << (n - 2 - bonds)))
-    pairs, cut = np.stack([a, b]), np.searchsorted(bonds, np.arange(n))
+    b = np.searchsorted(states, flipped := states[a] ^ (3 << (n - 2 - bonds)))
+    keep = states[b % len(states)] == flipped  # b among the states too
+    pairs, cut = np.stack([a, b])[:, keep], np.searchsorted(bonds[keep],
+                                                            np.arange(n))
     for arr in (states, signs, pairs, cut):
         arr.flags.writeable = False
     return states, signs, pairs, cut
+
+
+def _cone(n: int, states, layers, fits):
+    """The basis states that states (ascending, one sector) reach through
+    layers of gates that swap 01 <-> 10 on their bonds, each layer a group
+    of bonds: a brick wall's causal cone (Lieb & Robinson, Commun. Math.
+    Phys. 28, 251, 1972), ascending, closed bond by bond while fits(size)."""
+    for m in (m for bonds in layers for m in bonds):
+        if not fits(len(states)):
+            break
+        mask = 3 << (n - 2 - m)  # qubits m and m+1
+        flipped = states[(states & mask) % mask > 0] ^ mask  # pairs' far ends
+        at = np.searchsorted(states, flipped) % len(states)
+        new = np.sort(flipped[states[at] != flipped])  # each added once
+        states = np.sort(np.concatenate([states, new]), kind="stable")
+    return states
 
 
 def _sector_operator(couplings, magnetization: int):
@@ -172,11 +193,13 @@ def _sector_operator(couplings, magnetization: int):
     return apply
 
 
-def _sector_bytes(n: int, k: int) -> int:
+def _sector_bytes(n: int, k: int, d: int | None = None) -> int:
     """Bytes of _sector_pattern(n, k) from counts: 8 per state and Z Z sign,
-    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset."""
-    pairs = (n - 1) * (k and math.comb(n - 2, k - 1))
-    return 8 * n * math.comb(n, k) + 16 * pairs + 8 * n
+    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset; of a cone of
+    d < C(n, k) of its states, each the a end of at most min(k, n-k) pairs."""
+    d, pairs = d or math.comb(n, k), (n - 1) * (k and math.comb(n - 2, k - 1))
+    pairs = pairs if d == math.comb(n, k) else d * min(k, n - k)
+    return 8 * n * d + 16 * pairs + 8 * n
 
 
 def _lanczos_bytes(n: int, k: int, b: int) -> int:
@@ -188,27 +211,35 @@ def _lanczos_bytes(n: int, k: int, b: int) -> int:
     return b * (96 * d + 32 * pairs) + 48 * pairs
 
 
-def _sectors(specs, v, extra_bytes):
+def _sectors(specs, v, extra_bytes, layers=()):
     """The one way into a state's sectors for a batch of specs sharing n:
     (k, pattern, component) for each sector k where v is exactly nonzero,
-    ascending.  extra_bytes(k) gives the calling path's bytes on sector k
-    and what they hold; with the pattern's, every sector's total is held
-    to SECTOR_BYTES_CAP before any sector is built."""
+    ascending, on v's cone there with layers (as _cone reads them; uncached
+    unless it fills the sector).  extra_bytes(k, d) gives the calling path's
+    bytes on d rows of sector k and what they hold; with the pattern's, each
+    total is held to SECTOR_BYTES_CAP, as a cone grows and before any build."""
     n = specs[0].n
     if any(spec.n != n for spec in specs):
         raise ConfigError("a batch of specs must share n")
     vec = np.asarray(getattr(v, "amplitudes", v))
     if vec.shape != (2**n,):
         raise ConfigError(f"state has shape {vec.shape}, expected ({2**n},)")
-    sectors = sorted({int(i).bit_count() for i in np.flatnonzero(vec)})
-    for k in sectors:
-        size, what = extra_bytes(k)
-        if (size := size + _sector_bytes(n, k)) > SECTOR_BYTES_CAP:
+    support, rows = np.flatnonzero(vec), {}  # sector: its cone, None if whole
+    for k in sorted(set((ones := np.bitwise_count(support)).tolist())):
+        whole = math.comb(n, k)
+        cone = _cone(n, support[ones == k], layers, lambda d: d < whole and (
+            _sector_bytes(n, k, d) + extra_bytes(k, d)[0] <= SECTOR_BYTES_CAP))
+        d = len(cone) if layers else whole
+        rows[k] = cone if d < whole else None
+        size, what = extra_bytes(k, d)
+        if (size := size + _sector_bytes(n, k, d)) > SECTOR_BYTES_CAP:
             raise ConfigError(f"sector (n={n}, magnetization={k}) needs "
-                              f"{size / 1e9:.1f} GB of {what} > cap "
+                              f"{'at least ' * (d < whole)}{size / 1e9:.1f} "
+                              f"GB of {what} > cap "
                               f"{SECTOR_BYTES_CAP / 1e9:g} GB")
-    patterns = map(functools.partial(_sector_pattern, n), sectors)  # lazy
-    return ((k, p, vec[p[0]]) for k, p in zip(sectors, patterns))
+    patterns = (_sector_pattern(n, k) if cone is None else _pattern(n, cone)
+                for k, cone in rows.items())  # lazy
+    return ((k, p, vec[p[0]]) for k, p in zip(rows, patterns))
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,22 +252,24 @@ def _spin_blocks(n: int, magnetization: int):
     Lect. Notes Phys. 739, 2008).  Eigenspaces are told apart by 2S, an
     integer (S itself is a half-integer at odd n)."""
     states, signs, pairs, cut = _sector_pattern(n, magnetization)
-    ones, (a, b) = magnetization, pairs
-    bonds = np.repeat(np.arange(n - 1), np.diff(cut))  # each pair's bond
+    ones = magnetization
     p, q = np.triu_indices(n, 1)  # bit positions of the qubit pairs
     pair, col = np.nonzero((states >> p[:, None] ^ states >> q[:, None]) & 1)
     s2 = np.eye(len(states)) * (len(p) - ones * (n - ones) + n * (4 - n) / 4)
     s2[np.searchsorted(states, states[col] ^ (1 << p | 1 << q)[pair]), col] = 1
     evals, vecs = np.linalg.eigh(s2)  # S(S+1), ascending
+    del s2  # freed before the blocks are built
     vecs.flags.writeable = False  # and so are its views, the Q_S
     two_s = np.rint(np.sqrt(4 * evals + 1) - 1)
     blocks = []
     for q_s in np.split(vecs, np.flatnonzero(np.diff(two_s)) + 1, axis=1):
         pq = signs[:, :, None] * q_s  # P_m Q_S for every bond m
-        pq[bonds, a] += 2.0 * q_s[b]
-        pq[bonds, b] += 2.0 * q_s[a]
+        for m, (a, b) in enumerate(np.split(pairs, cut[1:-1], axis=1)):
+            pq[m, a] += 2.0 * q_s[b]  # bond by bond: (P/(n-1), d_S) rows
+            pq[m, b] += 2.0 * q_s[a]
         blocks.append((q_s, q_s.T @ pq))
         blocks[-1][1].flags.writeable = False
+        del pq  # freed before the next block's is built
     return tuple(blocks)
 
 
@@ -257,16 +290,16 @@ def spectral_measures(specs, v, integrand=None):
         return 0 if integrand is None or dim < LANCZOS_MIN_DIM else min(
             len(specs), max(1, STACK_ENTRIES // (3 * dim)))
 
-    def extra_bytes(k):  # a Lanczos chunk, or the spin blocks' build
+    def extra_bytes(k, d):  # a Lanczos chunk, or the spin blocks' build
         if size := chunk(k):
             return _lanczos_bytes(n, k, size), "pattern and Lanczos chunk"
         dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2-t
                 for t in range(min(k, n - k) + 1)]
-        d, pairs = sum(dims), (n - 1) * (k and math.comb(n - 2, k - 1))
+        bond = k and math.comb(n - 2, k - 1)  # flip pairs per bond
         # every Q_S and bond operator, S², eigh's copy and workspace (3d²),
-        # the largest block's P_m Q_S and its three gathered (P, d_S) rows
+        # the largest block's P_m Q_S and one bond's 3 gathered (bond, d_S)
         return 8 * ((n - 1) * sum(x * x for x in dims) + 5 * d * d + max(
-            dims) * ((n - 1) * d + 3 * pairs)), "spin blocks"
+            dims) * ((n - 1) * d + 3 * bond)), "spin blocks"
 
     sectors = _sectors(specs, v, extra_bytes)  # checks specs share n
     couplings = np.array([spec.couplings for spec in specs])

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
-import hamfourier.hamiltonians as hm
+import hamfourier.evolution as evo
 from hamfourier.evolution import (
     amplitude_rows,
     amplitudes,
@@ -191,17 +191,28 @@ class TestStrangKernel:
             arr.nbytes for arr in _sector_pattern(n, k))
 
     def test_refuses_a_sweep_that_would_not_fit(self, rng):
-        # n=24 at half filling: a 0.78 GB pattern and 2·d·(K+1)·16 bytes of
-        # components (1.04 GB for 12 times) are refused before anything is
-        # built or read, so neither sector cache changes
+        # n=24 at half filling, 8 steps at every time: the domain wall's cone
+        # through 9 layers passes 1 GB of pattern and 2·16·(K+1) bytes of
+        # components per state, so its closure stops there and the sweep is
+        # refused before anything is built or read: neither sector cache
+        # changes
         def caches():
             return _sector_pattern.cache_info(), _spin_blocks.cache_info()
         before = caches()
         with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) "
-                           r"needs 1\.8 GB of pattern and components > cap"):
+                           r"needs at least 1\.0 GB of pattern and components "
+                           r"> cap 1 GB"):
             amplitude_rows([random_spec(24, rng)], domain_wall(24),
-                           np.arange(12.0), (1,) * 12)
+                           np.arange(12.0), (8,) * 12)
         assert caches() == before
+
+    def test_sweeps_a_cone_where_the_sector_would_not_fit(self, rng):
+        # the whole n=24 half-filling sector would need 1.8 GB; the domain
+        # wall's cone through the 2 layers of one step holds 25 states
+        amps = amplitude_rows([random_spec(24, rng)], domain_wall(24),
+                              np.arange(12.0), (1,) * 12)[0]
+        assert amps[0] == 1.0
+        assert np.all(np.abs(amps) <= 1.0 + 1e-14)
 
 
 def real_sector_state(n, k, rng):
@@ -217,6 +228,34 @@ class CountingPairs(np.ndarray):
     def __getitem__(self, key):
         CountingPairs.slices += isinstance(key, tuple)
         return np.asarray(super().__getitem__(key))
+
+
+def watch_sweeps(monkeypatch):
+    """The rows of every pattern the Strang kernel reads, one entry per
+    occupied sector, its flip pairs counting their bond slices."""
+    swept, sectors = [], evo._sectors
+
+    def watched(*args):
+        for k, (states, signs, pairs, cut), comp in sectors(*args):
+            swept.append(len(states))
+            yield k, (states, signs, pairs.view(CountingPairs), cut), comp
+    monkeypatch.setattr(evo, "_sectors", watched)
+    return swept
+
+
+def basis_mix(n, amps):
+    """sum_bits amps[bits] |bits>, the amplitudes already of unit norm."""
+    vec = np.zeros(2**n, dtype=complex)
+    for bits, amp in amps.items():
+        vec[int(bits, 2)] = amp
+    return StateVector(n=n, amplitudes=vec)
+
+
+def sweep_whole_sectors(monkeypatch):
+    """The Strang kernel on every row of ψ's sectors, not only its cone."""
+    sectors = evo._sectors
+    monkeypatch.setattr(evo, "_sectors", lambda specs, v, extra_bytes,
+                        layers: sectors(specs, v, extra_bytes))
 
 
 class TestHalfCircuit:
@@ -247,15 +286,16 @@ class TestHalfCircuit:
                     amplitudes(spec, psi, times, schedule), expected,
                     rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("state", ["domain-wall", "complex"])
-    def test_amplitudes_apply_half_the_gates(self, rng, monkeypatch, state):
+    @pytest.mark.parametrize("state,rows", [("domain-wall", 196),
+                                            ("complex", 924)],
+                             ids=["domain-wall", "complex"])
+    def test_amplitudes_apply_half_the_gates(self, rng, monkeypatch, state,
+                                             rows):
         # 12 qubits, the 12Q schedule: layers 0..3 are 5 + 6 + 5 + 6 = 22
         # gates per sample, where the whole circuit has 38; trotter_evolve
-        # reads the list forward and back, 44 for s = 3
-        pattern = hm._sector_pattern
-        monkeypatch.setattr(hm, "_sector_pattern", lambda n, k: (
-            *pattern(n, k)[:2], pattern(n, k)[2].view(CountingPairs),
-            pattern(n, k)[3]))
+        # reads the list forward and back, 44 for s = 3.  The domain wall's
+        # cone through layers 0..3 holds 196 of the sector's 924 states
+        swept = watch_sweeps(monkeypatch)
         psi = (domain_wall(12) if state == "domain-wall"
                else random_sector_state(12, 6, rng))
         schedule = ExperimentConfig(k=11, schedule=SCHEDULE_12Q).feature_map(
@@ -264,9 +304,53 @@ class TestHalfCircuit:
         CountingPairs.slices = 0
         amplitude_rows(specs, psi, np.arange(12) * np.pi / 3, schedule)
         assert CountingPairs.slices == 3 * 22
+        assert swept == [rows]
         CountingPairs.slices = 0
         trotter_evolve(specs[0], psi, 11 * np.pi / 3, 3)
         assert CountingPairs.slices == 2 * 22
+
+    @pytest.mark.parametrize("n,rows", [(12, 196), (16, 1764), (20, 196)])
+    def test_sweeps_the_light_cone(self, rng, monkeypatch, n, rows):
+        # the 12Q schedule's 4 layers spread the domain wall's two walls,
+        # on bond n/4 - 1 and its mirror; layer 0 already moves a wall on an
+        # odd bond (n=16), so its cone is a layer deeper than on an even one
+        # (n=12, 20); the couplings play no part
+        swept = watch_sweeps(monkeypatch)
+        schedule = ExperimentConfig(k=11, schedule=SCHEDULE_12Q).feature_map(
+        ).schedule
+        for spec in (random_spec(n, rng), random_spec(n, rng)):
+            amplitude_rows([spec], domain_wall(n), np.arange(12) * np.pi / 3,
+                           schedule)
+        assert swept == [rows, rows]
+
+
+class TestLightCone:
+    # rows outside ψ's cone hold exact zeros through every gate, so the
+    # amplitudes are the whole sectors' bit for bit; trotter_evolve is equal
+    # by value (the whole-sector sweep may leave -0.0 outside the cone)
+    @pytest.mark.parametrize("n", [8, 12, 16, 20])
+    @pytest.mark.parametrize("schedule", [(1, 3, 2, 1), (2, 1, 3, 2)],
+                             ids=["largest-at-odd-l", "largest-at-even-l"])
+    def test_matches_whole_sectors(self, rng, monkeypatch, n, schedule):
+        wall, q = "0" * (n // 4) + "1" * (n // 2) + "0" * (n // 4), n // 4
+        states = {
+            "real": domain_wall(n),
+            "complex": basis_mix(n, {wall: 0.6, wall[1:] + "0": 0.8j}),
+            "two-sector": basis_mix(n, {wall: 0.8, "0" * (q + 1) + "1" * (
+                2 * q - 1) + "0" * q: -0.6j}),
+        }
+        specs = [random_spec(n, rng) for _ in range(2 if n < 20 else 1)]
+        times = np.array([1.3, 0.0, 3.4, 2.1])
+
+        def sweeps(psi):  # trotter_evolve's whole sectors are slow at n=20
+            return (amplitude_rows(specs, psi, times, schedule), n < 20 and
+                    trotter_evolve(specs[0], psi, 2.9, 3).amplitudes)
+        cone = {name: sweeps(psi) for name, psi in states.items()}
+        sweep_whole_sectors(monkeypatch)
+        for name, psi in states.items():
+            (amps, evolved), (whole, whole_evolved) = cone[name], sweeps(psi)
+            assert whole.tobytes() == amps.tobytes(), name
+            assert np.array_equal(whole_evolved, evolved), name
 
 
 class TestExactEvolve:

@@ -626,7 +626,7 @@ class TestCli:
         (["generate", "--config", "{list_json}", "--out", "{tmp}/g.jsonl"],
          "holds no JSON object"),
         (["generate", "--n", "16", "--num", "1", "--f", "step", "--out",
-          "{tmp}/g.jsonl"], "needs 21.0 GB of spin blocks > cap 1 GB"),
+          "{tmp}/g.jsonl"], "needs 16.8 GB of spin blocks > cap 1 GB"),
         (["generate", "--n", "40", "--num", "1", "--out", "{tmp}/g.jsonl"],
          "a dense 40-qubit state needs 17592.2 GB > cap 1 GB"),
         (TRAIN + ["--in", "{cut_record}", "--features", "{feats}"],

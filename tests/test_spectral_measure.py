@@ -218,11 +218,11 @@ def sector_caches():
 
 def test_dense_path_refuses_spin_blocks_that_would_not_fit(rng):
     # an n=16 step label would cache 5.6 GB of spin blocks and peak at
-    # 21 GB while building them: refused before anything is built, so
+    # 17 GB while building them: refused before anything is built, so
     # neither cache changes
     before = sector_caches()
     step = FunctionSpec("step", C, 0.1)
-    with pytest.raises(ConfigError, match=r"needs 21\.0 GB of spin blocks"):
+    with pytest.raises(ConfigError, match=r"needs 16\.8 GB of spin blocks"):
         label_rows([random_spec(16, rng)], domain_wall(16), step)
     assert sector_caches() == before
 
@@ -299,7 +299,7 @@ print(1024 * (hwm() - before))
     estimate = []
 
     def sectors(specs, v, extra_bytes):  # the dense path's bytes, no build
-        estimate.append(extra_bytes(6)[0])
+        estimate.append(extra_bytes(6, 924)[0])
         return iter(())
 
     monkeypatch.setattr(hm, "_sectors", sectors)
