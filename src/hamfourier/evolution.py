@@ -3,8 +3,8 @@ feature map: amplitude_rows(specs, ψ, times, schedule) = <ψ|U(t_l)|ψ> for
 a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt}: one
 hamiltonians.spectral_sum of the phases e^{-iθt_l}, all times on one
 spectral measure of ψ per sample, or, when a schedule is given, the Strang
-circuit with schedule[l] steps (trotter_evolve: the circuit on a state,
-for one time).
+circuit with schedule[l] steps (trotter_evolve: U(t)ψ for one time, the
+state on the rows its circuit swept).
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -48,7 +48,7 @@ def _strang_sectors(specs, psi, times, steps, palindrome=False):
     layers = [range(1 - i % 2, n - 1, 2) for i in range(len(tau))]
     gates, taus = map(np.array, zip(*[(m, tau[i]) for i, bonds in
                                       enumerate(layers) for m in bonds]))
-    pair = not palindrome and np.any(np.imag(getattr(psi, "amplitudes", psi)))
+    pair = not palindrome and np.any(psi.amplitudes.imag)
     for _, (states, _, pairs, cut), c in _sectors(specs, psi, lambda k, d: (
             32 * (1 + pair) * len(dt) * d, "pattern and components"),
             layers + layers[-2::-1] if palindrome else layers):
@@ -77,11 +77,11 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     """
     if n_step < 1:
         raise ConfigError(f"n_step must be >= 1, got {n_step}")
-    out = np.zeros(2**spec.n, dtype=complex)
-    for _, states, evolved, phase in _strang_sectors([spec], v, [t], [n_step],
-                                                     palindrome=True):
-        out[states] = evolved[:, 0] * phase[0]
-    return StateVector(n=spec.n, amplitudes=out)
+    states, amps = map(np.concatenate, zip(*[
+        (rows, evolved[:, 0] * phase[0]) for _, rows, evolved, phase in
+        _strang_sectors([spec], v, [t], [n_step], palindrome=True)]))
+    order = np.argsort(states)  # the rows swept, sector by sector
+    return StateVector(spec.n, states[order], amps[order])
 
 
 def amplitude_rows(specs, psi: StateVector, times,

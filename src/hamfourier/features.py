@@ -181,7 +181,7 @@ def overlap_reference(spec: CouplingSpec, psi: StateVector) -> float:
     """λ_ref = sum_m J_m of the overlap readout's reference |0...0> (each Z Z
     term gives +J_m, the flips annihilate it), after checking that psi is
     orthogonal to it, as the readout needs."""
-    overlap = psi.amplitudes[0]
+    overlap = psi.on([0])[0]  # 0 unless index 0 is in the support
     if abs(overlap) > 1e-10:
         raise ConfigError(
             f"state is not orthogonal to the reference eigenstate "

@@ -38,7 +38,7 @@ LANCZOS_MIN_DIM = 100
 #: sector is built: a sector's pattern plus the path's own arrays, a dense
 #: sector's spin blocks at their build's peak (n=12 at half filling: 78 MB
 #: for a 50 MB peak; n=14's is refused), a Lanczos chunk or a Strang sweep's
-#: components on ψ's cone.  It also caps a dense state (states.basis_state).
+#: components on ψ's cone.  A state is stored as its support (states).
 SECTOR_BYTES_CAP = 10**9
 #: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
 #: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
@@ -49,7 +49,7 @@ STACK_ENTRIES = 2**15
 
 
 class ConfigError(ValueError):
-    """The package's refusal of an input: a qubit count, vector length,
+    """The package's refusal of an input: a qubit count, state support,
     sector size, setting or file content it cannot work with."""
 
 
@@ -219,15 +219,12 @@ def _sectors(specs, v, extra_bytes, layers=()):
     bytes on d rows of sector k and what they hold; with the pattern's, each
     total is held to SECTOR_BYTES_CAP, as a cone grows and before any build."""
     n = specs[0].n
-    if any(spec.n != n for spec in specs):
-        raise ConfigError("a batch of specs must share n")
-    vec = np.asarray(getattr(v, "amplitudes", v))
-    if vec.shape != (2**n,):
-        raise ConfigError(f"state has shape {vec.shape}, expected ({2**n},)")
-    support, rows = np.flatnonzero(vec), {}  # sector: its cone, None if whole
-    for k in sorted(set((ones := np.bitwise_count(support)).tolist())):
+    if any(spec.n != n for spec in specs) or v.n != n:
+        raise ConfigError("a batch of specs and its state must share n")
+    ones, rows = np.bitwise_count(v.support), {}  # sector: cone, None if whole
+    for k in sorted(set(ones.tolist())):
         whole = math.comb(n, k)
-        cone = _cone(n, support[ones == k], layers, lambda d: d < whole and (
+        cone = _cone(n, v.support[ones == k], layers, lambda d: d < whole and (
             _sector_bytes(n, k, d) + extra_bytes(k, d)[0] <= SECTOR_BYTES_CAP))
         d = len(cone) if layers else whole
         rows[k] = cone if d < whole else None
@@ -239,7 +236,7 @@ def _sectors(specs, v, extra_bytes, layers=()):
                               f"{SECTOR_BYTES_CAP / 1e9:g} GB")
     patterns = (_sector_pattern(n, k) if cone is None else _pattern(n, cone)
                 for k, cone in rows.items())  # lazy
-    return ((k, p, vec[p[0]]) for k, p in zip(rows, patterns))
+    return ((k, p, v.on(p[0])) for k, p in zip(rows, patterns))
 
 
 @functools.lru_cache(maxsize=32)

@@ -432,10 +432,10 @@ def cmd_reproduce(row: str, out_dir, seed: int | None = None) -> dict:
     features, and train stages, then check its acceptance thresholds."""
     if row in _LARGE_ROWS:
         raise ConfigError(
-            f"row {row!r} needs a 32- or 40-qubit register; its half-filling "
-            f"sector (C(32,16) ~ 6.0e8 amplitudes, 4.8 GB per real vector) "
-            f"exceeds sector-vector memory, so it is not a desk-scale target. "
-            f"Supported rows: {sorted(REPRODUCE_ROWS)}"
+            f"row {row!r} is not a desk-scale target: its exact labels need "
+            f"Lanczos on a 32- or 40-qubit half-filling sector (C(32,16) ~ "
+            f"6.0e8 states) over the sector memory budget, and no MPS or QPU "
+            f"backend exists. Supported rows: {sorted(REPRODUCE_ROWS)}"
         )
     if row not in REPRODUCE_ROWS:
         raise ConfigError(

@@ -1,7 +1,6 @@
-"""Computational-basis and domain-wall states.
-
-States are stored dense (length 2^n, complex).
-"""
+"""Computational-basis and domain-wall states, each stored as its support:
+the ascending basis indices where it is nonzero (int64, so n <= 63), with
+its complex amplitudes there."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hamiltonians
 from .hamiltonians import ConfigError
 
 NORM_TOL = 1e-10
@@ -17,37 +15,43 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class StateVector:
-    """A normalized pure state over n qubits (qubit 0 = most significant bit)."""
+    """A normalized pure state over n qubits (qubit 0 = most significant
+    bit): amplitudes[i] at basis index support[i], exact zeros dropped."""
 
     n: int
+    support: np.ndarray = field(repr=False)
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n <= 63:
+            raise ConfigError(f"int64 indices need n in [1, 63], got {self.n}")
+        idx = np.asarray(self.support, dtype=np.int64)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n,):
-            raise ConfigError(
-                f"amplitudes shape {amps.shape} != ({2**self.n},)"
-            )
+        if (idx.ndim != 1 or idx.shape != amps.shape or np.any(idx >> self.n)
+                or np.any(np.diff(idx) <= 0)):  # idx >> n is -1 where idx < 0
+            raise ConfigError(f"a state needs one strictly ascending index in "
+                              f"[0, 2^{self.n}) per amplitude")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ConfigError("state is not normalized")
-        object.__setattr__(self, "amplitudes", amps)
+        keep = amps != 0
+        object.__setattr__(self, "support", idx[keep])
+        object.__setattr__(self, "amplitudes", amps[keep])
+
+    def on(self, states) -> np.ndarray:
+        """The amplitudes at ascending basis states, 0 off the support."""
+        at = np.searchsorted(self.support, states) % len(self.support)
+        return np.where(self.support[at] == states, self.amplitudes[at], 0)
 
 
 def basis_state(n: int, bitstring: str) -> StateVector:
-    """Unit vector on one computational basis element, refused before it is
-    allocated if its 2^n complex amplitudes exceed SECTOR_BYTES_CAP."""
+    """Unit vector on one computational basis element."""
     if len(bitstring) != n:
         raise ConfigError(
             f"bitstring {bitstring!r} has {len(bitstring)} bits, expected {n}"
         )
     if set(bitstring) - {"0", "1"}:
         raise ConfigError(f"bitstring {bitstring!r} has non-binary characters")
-    if (size := 16 * 2**n) > (cap := hamiltonians.SECTOR_BYTES_CAP):
-        raise ConfigError(f"a dense {n}-qubit state needs {size / 1e9:.1f} GB "
-                          f"> cap {cap / 1e9:g} GB")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[int(bitstring, 2)] = 1.0
-    return StateVector(n=n, amplitudes=amps)
+    return StateVector(n, [int(bitstring, 2)], [1.0])
 
 
 def domain_wall(n: int) -> StateVector:
@@ -55,4 +59,3 @@ def domain_wall(n: int) -> StateVector:
     if n % 4 != 0:
         raise ConfigError(f"domain wall needs n divisible by 4, got {n}")
     return basis_state(n, "0" * (n // 4) + "1" * (n // 2) + "0" * (n // 4))
-

@@ -61,19 +61,33 @@ def sector_eigensystem(spec: CouplingSpec, magnetization: int):
             sector_indices(spec.n, magnetization))
 
 
+def from_dense(n: int, vec) -> StateVector:
+    """The state of a dense vector of 2^n amplitudes: its nonzero entries."""
+    vec = np.asarray(vec, dtype=complex)
+    support = np.flatnonzero(vec)
+    return StateVector(n, support, vec[support])
+
+
+def dense(psi: StateVector) -> np.ndarray:
+    """psi's 2^n amplitudes as a dense vector, zero off its support."""
+    vec = np.zeros(2**psi.n, dtype=complex)
+    vec[psi.support] = psi.amplitudes
+    return vec
+
+
 def occupied(psi: StateVector) -> list[int]:
     """Popcounts of the basis states where psi is nonzero, ascending."""
-    return sorted({int(i).bit_count() for i in np.flatnonzero(psi.amplitudes)})
+    return sorted({int(i).bit_count() for i in psi.support})
 
 
 def exact_evolve(spec: CouplingSpec, psi: StateVector, t: float) -> StateVector:
     """e^{-iHt}·psi, sector by sector from the Kronecker blocks' eigh."""
-    out = np.zeros(2**spec.n, dtype=complex)
+    out, amps = np.zeros(2**spec.n, dtype=complex), dense(psi)
     for k in occupied(psi):
         evals, evecs, idx = sector_eigensystem(spec, k)
-        coeff = evecs.T @ psi.amplitudes[idx]
+        coeff = evecs.T @ amps[idx]
         out[idx] = evecs @ (np.exp(-1j * evals * t) * coeff)
-    return StateVector(n=spec.n, amplitudes=out)
+    return from_dense(spec.n, out)
 
 
 def dense_hamiltonian(spec: CouplingSpec) -> np.ndarray:
@@ -96,7 +110,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b> with conjugation on a."""
     if a.n != b.n:
         raise ConfigError(f"qubit counts differ: {a.n} vs {b.n}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex(np.vdot(dense(a), dense(b)))
 
 
 def superpose(psi_ref: StateVector, psi: StateVector, phase: complex) -> StateVector:
@@ -111,8 +125,8 @@ def superpose(psi_ref: StateVector, psi: StateVector, phase: complex) -> StateVe
         raise ValueError(
             f"inputs are not orthogonal: |<psi_ref|psi>| = {abs(overlap):.3e}"
         )
-    amps = (psi_ref.amplitudes + phase * psi.amplitudes) / np.sqrt(2.0)
-    return StateVector(n=psi_ref.n, amplitudes=amps)
+    amps = (dense(psi_ref) + phase * dense(psi)) / np.sqrt(2.0)
+    return from_dense(psi_ref.n, amps)
 
 
 def dense_measure(spec: CouplingSpec, psi: StateVector):
@@ -121,7 +135,7 @@ def dense_measure(spec: CouplingSpec, psi: StateVector):
     records = []
     for k in occupied(psi):
         evals, evecs, idx = sector_eigensystem(spec, k)
-        records.append((evals, np.abs(evecs.T @ psi.amplitudes[idx]) ** 2))
+        records.append((evals, np.abs(evecs.T @ dense(psi)[idx]) ** 2))
     return records
 
 
@@ -150,13 +164,13 @@ def random_sector_state(n: int, magnetization: int,
     comp /= np.linalg.norm(comp)
     amps = np.zeros(2**n, dtype=complex)
     amps[idx] = comp
-    return StateVector(n=n, amplitudes=amps)
+    return from_dense(n, amps)
 
 
 def random_dense_state(n: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n=n, amplitudes=amps)
+    return from_dense(n, amps)
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from hamfourier.regression import DesignMatrix, fit_constrained
 from hamfourier.rng import substream, substreams
 from hamfourier.states import basis_state, domain_wall
 
-from conftest import exact_evolve, random_sector_state, random_spec
+from conftest import dense, exact_evolve, random_sector_state, random_spec
 
 
 def report(index: int, ok: bool, detail: str) -> None:
@@ -146,9 +146,9 @@ def test_criterion_7_trotter_order():
     rng = np.random.default_rng(77)
     spec = random_spec(4, rng)
     v = domain_wall(4)
-    exact = exact_evolve(spec, v, 1.0).amplitudes
+    exact = dense(exact_evolve(spec, v, 1.0))
     steps = np.array([4, 8, 16, 32])
-    errs = [np.linalg.norm(exact - trotter_evolve(spec, v, 1.0, s).amplitudes)
+    errs = [np.linalg.norm(exact - dense(trotter_evolve(spec, v, 1.0, s)))
             for s in steps]
     slope = float(np.polyfit(np.log(steps), np.log(errs), 1)[0])
     ok = abs(slope + 2.0) <= 0.3
@@ -228,8 +228,7 @@ def test_criterion_10_invariant_suite():
             bad = [r.magnetization for r in spectral_measures([spec], state)
                    ] != [pop]
             tv = trotter_evolve(spec, state, float(rng.uniform(0, 3)), 2)
-            bad |= any(int(j).bit_count() != pop
-                       for j in np.nonzero(tv.amplitudes)[0])
+            bad |= any(int(j).bit_count() != pop for j in tv.support)
             violations += bad
         else:
             psi = random_sector_state(n, int(rng.integers(0, n + 1)), rng)

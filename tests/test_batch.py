@@ -59,8 +59,7 @@ def spin_entries(n, k):
 
 def largest_dense_entries(n, psi):
     return max((spin_entries(n, k)
-                for k in {int(i).bit_count()
-                          for i in np.flatnonzero(psi.amplitudes)}
+                for k in {int(i).bit_count() for i in psi.support}
                 if math.comb(n, k) < hm.LANCZOS_MIN_DIM), default=1)
 
 

@@ -19,16 +19,14 @@ from hamfourier.hamiltonians import (
     spectral_sum,
 )
 from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
-from hamfourier.states import (
-    StateVector,
-    basis_state,
-    domain_wall,
-)
+from hamfourier.states import basis_state, domain_wall
 
 from conftest import (
     IDENTITY,
+    dense,
     dense_hamiltonian,
     exact_evolve,
+    from_dense,
     inner,
     kron_chain,
     random_dense_state,
@@ -45,7 +43,7 @@ def heisenberg_gate(j, dt):
     circuit with one step is the single gate of its one (even) bond."""
     spec = CouplingSpec(n=2, couplings=(j,))
     return np.column_stack([
-        trotter_evolve(spec, StateVector(n=2, amplitudes=e), dt, 1).amplitudes
+        dense(trotter_evolve(spec, from_dense(2, e), dt, 1))
         for e in np.eye(4, dtype=complex)])
 
 
@@ -82,7 +80,7 @@ class TestTrotterEvolve:
         spec = random_spec(4, rng)
         v = random_dense_state(4, rng)
         out = trotter_evolve(spec, v, 0.0, 3)
-        np.testing.assert_allclose(out.amplitudes, v.amplitudes, atol=1e-14)
+        np.testing.assert_allclose(dense(out), dense(v), atol=1e-14)
 
     def test_single_step_matches_dense_gate_product(self, rng):
         # oracle: expand each layer gate with np.kron and multiply explicitly
@@ -99,8 +97,8 @@ class TestTrotterEvolve:
         for mat in mats:
             u = mat @ u
         v = random_dense_state(4, rng)
-        np.testing.assert_allclose(trotter_evolve(spec, v, t, 1).amplitudes,
-                                   u @ v.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(dense(trotter_evolve(spec, v, t, 1)),
+                                   u @ dense(v), atol=1e-12)
 
     def test_unit_norm_for_any_step_count(self, rng):
         spec = random_spec(5, rng)
@@ -114,14 +112,14 @@ class TestTrotterEvolve:
         v = domain_wall(4)
         exact = exact_evolve(spec, v, 1.0)
         approx = trotter_evolve(spec, v, 1.0, 64)
-        assert np.linalg.norm(exact.amplitudes - approx.amplitudes) <= 1e-3
+        assert np.linalg.norm(dense(exact) - dense(approx)) <= 1e-3
 
     def test_second_order_convergence_slope(self, rng):
         spec = random_spec(4, rng)
         v = domain_wall(4)
-        exact = exact_evolve(spec, v, 1.0).amplitudes
+        exact = dense(exact_evolve(spec, v, 1.0))
         steps = np.array([4, 8, 16, 32])
-        errs = [np.linalg.norm(exact - trotter_evolve(spec, v, 1.0, s).amplitudes)
+        errs = [np.linalg.norm(exact - dense(trotter_evolve(spec, v, 1.0, s)))
                 for s in steps]
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.3)
@@ -129,7 +127,7 @@ class TestTrotterEvolve:
     def test_sector_weights_preserved_exactly(self, rng):
         spec = random_spec(4, rng)
         out = trotter_evolve(spec, domain_wall(4), 1.7, 5)
-        for idx in np.nonzero(out.amplitudes)[0]:
+        for idx in out.support:
             assert int(idx).bit_count() == 2
 
     def test_invalid_step_count(self, rng):
@@ -155,9 +153,9 @@ def sparse_strang(spec, t, n_step, amps):
 def multi_sector_state(n, rng):
     """A state on three or four sectors, |0...0> and |1...1> included, with
     relative phases 1, -1, i, -i."""
-    amps = sum(phase * random_sector_state(n, k, rng).amplitudes
+    amps = sum(phase * dense(random_sector_state(n, k, rng))
                for phase, k in zip((1, -1, 1j, -1j), (0, 1, n // 2, n)))
-    return StateVector(n=n, amplitudes=amps / np.linalg.norm(amps))
+    return from_dense(n, amps / np.linalg.norm(amps))
 
 
 class TestStrangKernel:
@@ -170,13 +168,13 @@ class TestStrangKernel:
         psi = multi_sector_state(n, rng)
         times = np.array([0.0, 1.1, 2.3, 0.9, 3.7, 2.9])
         schedule = (2, 1, 2, 3, 4, 4)
-        evolved = [sparse_strang(spec, t, s, psi.amplitudes)
+        evolved = [sparse_strang(spec, t, s, dense(psi))
                    for t, s in zip(times, schedule)]
         for t, s, u_psi in zip(times, schedule, evolved):
             np.testing.assert_allclose(
-                trotter_evolve(spec, psi, t, s).amplitudes, u_psi, rtol=0,
+                dense(trotter_evolve(spec, psi, t, s)), u_psi, rtol=0,
                 atol=1e-13)
-        expected = [np.vdot(psi.amplitudes, u_psi) for u_psi in evolved]
+        expected = [np.vdot(dense(psi), u_psi) for u_psi in evolved]
         np.testing.assert_allclose(amplitudes(spec, psi, times, schedule),
                                    expected, rtol=0, atol=1e-13)
 
@@ -216,8 +214,8 @@ class TestStrangKernel:
 
 
 def real_sector_state(n, k, rng):
-    amps = random_sector_state(n, k, rng).amplitudes.real
-    return StateVector(n=n, amplitudes=amps / np.linalg.norm(amps) + 0j)
+    amps = dense(random_sector_state(n, k, rng)).real
+    return from_dense(n, amps / np.linalg.norm(amps) + 0j)
 
 
 class CountingPairs(np.ndarray):
@@ -248,7 +246,7 @@ def basis_mix(n, amps):
     vec = np.zeros(2**n, dtype=complex)
     for bits, amp in amps.items():
         vec[int(bits, 2)] = amp
-    return StateVector(n=n, amplitudes=vec)
+    return from_dense(n, vec)
 
 
 def sweep_whole_sectors(monkeypatch):
@@ -270,7 +268,7 @@ class TestHalfCircuit:
         states = [real_sector_state(n, n // 2, rng),
                   random_sector_state(n, n // 2, rng),
                   multi_sector_state(n, rng)]
-        amps = np.column_stack([psi.amplitudes for psi in states])
+        amps = np.column_stack([dense(psi) for psi in states])
         times = np.array([1.3, 0.0, 3.4, 2.1])
         for spec in (random_spec(n, rng), random_spec(n, rng)):
             evolved = [sparse_strang(spec, t, s, amps)
@@ -278,9 +276,9 @@ class TestHalfCircuit:
             for col, psi in enumerate(states):
                 for t, s, u_amps in zip(times, schedule, evolved):
                     np.testing.assert_allclose(
-                        trotter_evolve(spec, psi, t, s).amplitudes,
+                        dense(trotter_evolve(spec, psi, t, s)),
                         u_amps[:, col], rtol=0, atol=1e-13)
-                expected = [np.vdot(psi.amplitudes, u_amps[:, col])
+                expected = [np.vdot(dense(psi), u_amps[:, col])
                             for u_amps in evolved]
                 np.testing.assert_allclose(
                     amplitudes(spec, psi, times, schedule), expected,
@@ -344,7 +342,7 @@ class TestLightCone:
 
         def sweeps(psi):  # trotter_evolve's whole sectors are slow at n=20
             return (amplitude_rows(specs, psi, times, schedule), n < 20 and
-                    trotter_evolve(specs[0], psi, 2.9, 3).amplitudes)
+                    dense(trotter_evolve(specs[0], psi, 2.9, 3)))
         cone = {name: sweeps(psi) for name, psi in states.items()}
         sweep_whole_sectors(monkeypatch)
         for name, psi in states.items():
@@ -380,7 +378,7 @@ class TestExactEvolve:
             u = expm(-1j * 0.8 * dense_hamiltonian(spec))
             v = random_dense_state(n, rng)
             assert amplitudes(spec, v, 0.8)[0] == pytest.approx(
-                np.vdot(v.amplitudes, u @ v.amplitudes), abs=1e-10)
+                np.vdot(dense(v), u @ dense(v)), abs=1e-10)
 
     def test_energy_conserved(self, rng):
         # the measure of psi(t) is that of psi, so <H> stays put
@@ -392,7 +390,7 @@ class TestExactEvolve:
 
         e0 = energy(v)
         assert e0 == pytest.approx(
-            np.vdot(v.amplitudes, dense_hamiltonian(spec) @ v.amplitudes).real,
+            np.vdot(dense(v), dense_hamiltonian(spec) @ dense(v)).real,
             abs=1e-12)
         for t in (0.5, 2.0, 7.0):
             assert abs(energy(exact_evolve(spec, v, t)) - e0) <= 1e-10

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hamfourier.features import (
     ConfigError,
     FeatureMapConfig,
     estimate,
+    feature_rows,
     feature_vector,
     overlap_frequencies,
     overlap_reference,
@@ -16,9 +18,11 @@ from hamfourier.features import (
     reconstruct_amplitudes,
 )
 from hamfourier.hamiltonians import CouplingSpec
+from hamfourier.pipeline import SCHEDULE_12Q, ExperimentConfig
 from hamfourier.states import basis_state, domain_wall
 
 from conftest import (
+    dense,
     dense_hamiltonian,
     exact_evolve,
     inner,
@@ -39,7 +43,7 @@ def quadrature_oracle(spec, psi, k_order, c_bound):
     """Feature vector computed from the dense Kronecker Hamiltonian:
     x_cos,l = sum_l p cos(l pi lam / C), x_sin,l = -sum_l p sin(...)."""
     evals, evecs = np.linalg.eigh(dense_hamiltonian(spec))
-    p = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
+    p = np.abs(evecs.conj().T @ dense(psi)) ** 2
     x = np.empty(2 * k_order + 1)
     x[0] = np.sum(p * np.cos(0 * evals))
     for l in range(1, k_order + 1):
@@ -104,6 +108,23 @@ class TestExactFeatures:
         spec = random_spec(4, rng)  # spectral bound 3
         with pytest.raises(ConfigError):
             feature_vector(spec, domain_wall(4), FeatureMapConfig(K=2, C=2.0))
+
+    def test_forty_qubits_build_no_dense_vector(self, rng):
+        # the domain wall is one basis index, and the 12-qubit schedule's
+        # half circuit sweeps its cone of 1,764 states, about 2 MB at the
+        # peak; a vector of 2^40 amplitudes would take 17.6 TB
+        cfg = ExperimentConfig(n=40, k=11, schedule=SCHEDULE_12Q).feature_map()
+        specs = [random_spec(40, rng) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            x = feature_rows(specs, domain_wall(40), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+        assert np.all(x[:, 0] == 1.0)
+        amps = x[:, 0::2] + 1j * np.pad(x[:, 1::2], ((0, 0), (1, 0)))
+        assert np.all(np.abs(amps) <= 1.0 + 1e-12)
 
 
 class TestExactOverlaps:

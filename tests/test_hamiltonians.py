@@ -19,7 +19,7 @@ from hamfourier.hamiltonians import (
 from hamfourier.pipeline import json_17g
 from hamfourier.states import basis_state, domain_wall
 
-from conftest import (dense_hamiltonian, random_dense_state,
+from conftest import (dense, dense_hamiltonian, random_dense_state,
                       random_sector_state, random_spec, sector_block,
                       sector_indices, spin_dims)
 
@@ -149,9 +149,8 @@ class TestApplyHamiltonian:
             assert np.all(out == 0)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ConfigError, match="state has shape"):
-            amplitude_rows([random_spec(3, rng)], np.zeros(4, dtype=complex),
-                           [0.0])
+        with pytest.raises(ConfigError, match="specs and its state must share"):
+            amplitude_rows([random_spec(3, rng)], basis_state(2, "01"), [0.0])
 
     def test_magnetization_conserved_exactly(self, rng):
         # H maps a sector into itself, so its sector block is all of H·v
@@ -242,7 +241,7 @@ class TestSectorEigensystem:
         (rec,) = spectral_measures([spec], psi)
         blocks = np.split(rec.eigenvalues[0], np.cumsum(spin_dims(6, 3))[:-1])
         assert all(np.all(np.diff(b) >= -1e-12) for b in blocks)
-        h, comp = sector_block(spec, 3), psi.amplitudes[sector_indices(6, 3)]
+        h, comp = sector_block(spec, 3), dense(psi)[sector_indices(6, 3)]
         for power in range(4):
             moment = np.vdot(comp, np.linalg.matrix_power(h, power) @ comp).real
             assert rec.eigenvalues[0] ** power @ rec.probabilities[0] == \

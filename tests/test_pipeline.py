@@ -34,6 +34,8 @@ from hamfourier.pipeline import (
 from hamfourier.regression import DesignMatrix, fit_ridge
 from hamfourier.rng import ROLE_VALID, substream
 
+from conftest import dense
+
 SMALL = ExperimentConfig(n=4, num=24, seed=3, k=3, c=3.0, f_kind="exp",
                          beta=1.0, state="domain_wall", method="ols")
 
@@ -68,10 +70,10 @@ class TestSerialization:
         assert back == config
 
     def test_state_descriptor_roundtrip(self):
-        assert state_from_descriptor(4, "domain_wall").amplitudes[
+        assert dense(state_from_descriptor(4, "domain_wall"))[
             int("0110", 2)] == 1.0
         v = state_from_descriptor(4, {"basis": "0101"})
-        assert v.amplitudes[int("0101", 2)] == 1.0
+        assert dense(v)[int("0101", 2)] == 1.0
         with pytest.raises(ValueError):
             state_from_descriptor(4, {"weird": 1})
 
@@ -207,8 +209,7 @@ class TestFeatureStage:
         psi = basis_state(4, "0000")
         for (spec, _, _), x in zip(read_dataset(tmp_path / "d.jsonl"),
                                    read_features(tmp_path / "f.csv")):
-            a = [np.vdot(psi.amplitudes,
-                         trotter_evolve(spec, psi, t, 1).amplitudes)
+            a = [np.vdot(dense(psi), dense(trotter_evolve(spec, psi, t, 1)))
                  for t in config.feature_map().times()]
             np.testing.assert_allclose(x, [a[0].real, a[1].imag, a[1].real,
                                            a[2].imag, a[2].real], atol=1e-15)
@@ -628,7 +629,8 @@ class TestCli:
         (["generate", "--n", "16", "--num", "1", "--f", "step", "--out",
           "{tmp}/g.jsonl"], "needs 16.8 GB of spin blocks > cap 1 GB"),
         (["generate", "--n", "40", "--num", "1", "--out", "{tmp}/g.jsonl"],
-         "a dense 40-qubit state needs 17592.2 GB > cap 1 GB"),
+         "sector (n=40, magnetization=20) needs 189676.8 GB of pattern and "
+         "Lanczos chunk > cap 1 GB"),
         (TRAIN + ["--in", "{cut_record}", "--features", "{feats}"],
          "cut_record line 3 is not JSON"),
         (TRAIN + ["--in", "{no_couplings}", "--features", "{feats}"],
@@ -637,6 +639,8 @@ class TestCli:
          "no_y line 3 has no 'y' key"),
         (TRAIN + ["--in", "{data}", "--features", "{null_cell}"],
          "null_cell line 3 is not a row of numbers as wide as the header"),
+        (["generate", "--n", "64", "--num", "1", "--out", "{tmp}/g.jsonl"],
+         "int64 indices need n in [1, 63], got 64"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):

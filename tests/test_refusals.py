@@ -28,8 +28,9 @@ def test_config_error_is_the_only_refusal_type():
 
 
 def test_one_memory_budget():
-    # every sector path and dense state is held to SECTOR_BYTES_CAP; a
-    # second module-level cap would be a second refusal rule
+    # every sector path is held to SECTOR_BYTES_CAP, and a state, stored as
+    # its support, needs no cap; a second module-level cap would be a
+    # second refusal rule
     caps = [(path.name, name.id) for path in SOURCES
             for node in ast.parse(path.read_text()).body
             if isinstance(node, (ast.Assign, ast.AnnAssign))
@@ -38,6 +39,17 @@ def test_one_memory_budget():
             for name in ast.walk(target)
             if isinstance(name, ast.Name) and name.id.endswith("_CAP")]
     assert caps == [("hamiltonians.py", "SECTOR_BYTES_CAP")]
+
+
+def test_no_vector_of_2_to_the_n():
+    # a state is its support and a kernel reads a sector or a cone of it,
+    # so no 2 ** <non-constant> size (a dense 2^n vector) appears in src/
+    powers = [(path.name, node.lineno) for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.left, ast.Constant) and node.left.value == 2
+              and not isinstance(node.right, ast.Constant)]
+    assert powers == []
 
 
 def test_every_public_function_has_a_caller():

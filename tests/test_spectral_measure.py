@@ -41,7 +41,7 @@ from hamfourier.hamiltonians import (
 from hamfourier.labels import FunctionSpec, label_rows
 from hamfourier.states import StateVector, basis_state, domain_wall
 
-from conftest import (dense_measure, kronecker_sum, random_sector_state,
+from conftest import (dense, dense_measure, kronecker_sum, random_sector_state,
                       random_spec, sector_block, sector_eigensystem,
                       sector_indices, spin_dims, superpose)
 
@@ -113,9 +113,8 @@ def test_invariant_krylov_space_exhausts_exactly(rng):
     spec = random_spec(10, rng)
     evals, evecs, idx = sector_eigensystem(spec, 5)
     assert len(idx) >= LANCZOS_MIN_DIM
-    amps = np.zeros(2**10, dtype=complex)
-    amps[idx] = evecs[:, [3, 100, 250]] @ np.array([0.6, 0.64j, -0.48])
-    (rec,) = spectral_measures([spec], StateVector(n=10, amplitudes=amps),
+    amps = evecs[:, [3, 100, 250]] @ np.array([0.6, 0.64j, -0.48])
+    (rec,) = spectral_measures([spec], StateVector(10, idx, amps),
                                lambda nodes: nodes)
     assert rec.depth == 3 and rec.gap == 0.0
     np.testing.assert_allclose(rec.eigenvalues[0], evals[[3, 100, 250]],
@@ -313,7 +312,7 @@ def test_half_filling_at_18_matches_kronecker_oracle(rng):
     spec, psi = random_spec(n, rng), basis_state(n, _bits(n, n // 2, 4))
     idx = sector_indices(n, n // 2)
     h = kronecker_sum(n, spec.couplings)[idx][:, idx]
-    comp = psi.amplitudes[idx]
+    comp = dense(psi)[idx]
     evolved = expm_multiply(-1j * h, comp, start=TIMES[0], stop=TIMES[-1],
                             num=len(TIMES), endpoint=True)
     np.testing.assert_allclose(amplitudes(spec, psi, TIMES),

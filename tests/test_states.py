@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hamfourier.features import overlap_reference
-from hamfourier.hamiltonians import ConfigError
+from hamfourier.hamiltonians import ConfigError, spectral_measures
 from hamfourier.states import (
     StateVector,
     basis_state,
@@ -10,7 +10,9 @@ from hamfourier.states import (
 )
 
 from conftest import (
+    dense,
     dense_hamiltonian,
+    from_dense,
     inner,
     random_dense_state,
     random_sector_state,
@@ -22,15 +24,15 @@ from conftest import (
 class TestBasisState:
     def test_two_qubit_01(self):
         v = basis_state(2, "01")
-        np.testing.assert_array_equal(v.amplitudes, [0, 1, 0, 0])
+        np.testing.assert_array_equal(dense(v), [0, 1, 0, 0])
 
     def test_single_qubit(self):
-        np.testing.assert_array_equal(basis_state(1, "0").amplitudes, [1, 0])
+        np.testing.assert_array_equal(dense(basis_state(1, "0")), [1, 0])
 
     def test_msb_convention(self):
         # "111" -> index 7; "100" -> index 4 (qubit 0 is the MSB)
-        assert basis_state(3, "111").amplitudes[7] == 1.0
-        assert basis_state(3, "100").amplitudes[4] == 1.0
+        assert dense(basis_state(3, "111"))[7] == 1.0
+        assert dense(basis_state(3, "100"))[4] == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match="has 2 bits, expected 3"):
@@ -43,13 +45,13 @@ class TestBasisState:
 
 class TestDomainWall:
     def test_n4(self):
-        np.testing.assert_array_equal(domain_wall(4).amplitudes,
-                                      basis_state(4, "0110").amplitudes)
+        np.testing.assert_array_equal(dense(domain_wall(4)),
+                                      dense(basis_state(4, "0110")))
 
     def test_n12_pattern(self):
         v = domain_wall(12)
         idx = int("000111111000", 2)
-        assert v.amplitudes[idx] == 1.0
+        assert dense(v)[idx] == 1.0
         assert int(idx).bit_count() == 6
 
     @pytest.mark.parametrize("n", [2, 6, 10])
@@ -83,13 +85,13 @@ class TestSuperpose:
     def test_plus_phase(self):
         v = superpose(basis_state(2, "00"), basis_state(2, "11"), 1)
         np.testing.assert_allclose(
-            v.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
+            dense(v), np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_i_phase_normalized(self):
         v = superpose(basis_state(2, "00"), basis_state(2, "11"), 1j)
         np.testing.assert_allclose(
-            v.amplitudes, np.array([1, 0, 0, 1j]) / np.sqrt(2), atol=1e-15)
-        assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            dense(v), np.array([1, 0, 0, 1j]) / np.sqrt(2), atol=1e-15)
+        assert np.linalg.norm(dense(v)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_equal_states(self):
         v = basis_state(2, "01")
@@ -111,7 +113,7 @@ class TestSuperpose:
             assert abs(inner(plus, minus)) <= 1e-10
             assert abs(inner(plus, plus_i)) ** 2 == pytest.approx(0.5, abs=1e-10)
             for v in (plus, minus, plus_i):
-                assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-10)
+                assert np.linalg.norm(dense(v)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestReferenceEigenstate:
@@ -119,7 +121,7 @@ class TestReferenceEigenstate:
         for n in (2, 4, 7):
             spec = random_spec(n, rng)
             lambda_ref = overlap_reference(spec, basis_state(n, "1" * n))
-            e = basis_state(n, "0" * n).amplitudes
+            e = dense(basis_state(n, "0" * n))
             residual = dense_hamiltonian(spec) @ e - lambda_ref * e
             assert np.linalg.norm(residual) <= 1e-12
 
@@ -127,8 +129,44 @@ class TestReferenceEigenstate:
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            StateVector(n=1, amplitudes=np.array([1.0, 1.0]))
+            StateVector(1, [0, 1], np.array([1.0, 1.0]))
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ConfigError, match="amplitudes shape"):
-            StateVector(n=2, amplitudes=np.array([1.0, 0.0]))
+        with pytest.raises(ConfigError, match="one strictly ascending index"):
+            StateVector(2, [0, 1], np.array([1.0]))
+
+    @pytest.mark.parametrize("support", [[2, 1], [1, 1], [1, 4], [-1, 1]],
+                             ids=["descending", "repeated", "past-2^n",
+                                  "negative"])
+    def test_rejects_bad_support(self, support):
+        with pytest.raises(ConfigError, match=r"one strictly ascending index "
+                           r"in \[0, 2\^2\) per amplitude"):
+            StateVector(2, support, [0.6, 0.8])
+
+    @pytest.mark.parametrize("make", [
+        lambda: StateVector(64, [0], [1.0]),
+        lambda: basis_state(64, "1" * 64),  # int("1" * 64, 2) > int64 max
+    ], ids=["state", "basis_state"])
+    def test_rejects_n_past_int64(self, make):
+        with pytest.raises(ConfigError, match=r"n in \[1, 63\], got 64"):
+            make()
+
+    def test_drops_exact_zeros(self):
+        v = StateVector(3, [0, 3, 5, 6], [0.6, 0.0, -0.0, 0.8j])
+        assert v.support.tolist() == [0, 6]
+        assert v.amplitudes.tolist() == [0.6, 0.8j]
+
+    def test_explicit_zero_on_a_second_sector_changes_nothing(self, rng):
+        # a zero-weight sector would reach the Lanczos start as 0/√0: the
+        # dropped zero gives the domain wall's records, bit for bit
+        n, wall = 12, domain_wall(12)
+        zero = StateVector(n, [int("000011111000", 2), *wall.support],
+                           [0.0, 1.0])
+        specs = [random_spec(n, rng) for _ in range(3)]
+
+        def records(psi):
+            return [(r.magnetization, r.eigenvalues.tobytes(),
+                     r.probabilities.tobytes(), r.depth, r.gap)
+                    for r in spectral_measures(specs, psi, np.cos)]
+        assert records(zero) == records(wall)
+        assert len(records(wall)) == len(specs)
