@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .hamiltonians import ConfigError
+from .hamiltonians import ConfigError, _count, _real
 
 
 def _finite(evaluate):
@@ -53,10 +53,10 @@ class BoundInputs:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ConfigError(f"K must be >= 0, got {self.K}")
-        if self.N_d < 1:
-            raise ConfigError(f"N_d must be >= 1, got {self.N_d}")
+        object.__setattr__(self, "K", _count("K", self.K))
+        object.__setattr__(self, "N_d", _count("N_d", self.N_d, 1))
+        for name in ("W", "f_inf", "delta", "eps_K", "eta"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         for name in ("W", "f_inf", "eps_K", "eta"):
@@ -110,6 +110,8 @@ def sufficient_parameters(eps: float, w_budget: float, f_inf: float) -> tuple[in
     The asymptotic statement hides constants; they are fixed to 1 here and
     ceilings applied so the result is a concrete integer pair.
     """
+    eps, w_budget = _real("eps", eps), _real("W", w_budget)
+    f_inf = _real("f_inf", f_inf)
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must lie in (0, 1), got {eps}")
     if w_budget <= 0 or f_inf <= 0:
@@ -124,10 +126,9 @@ def hoeffding_shots(eta: float, delta: float, K: int) -> int:
     confidence 1 - delta: per-feature tail 2·exp(-N_shot·eta²/2) (±1-valued
     outcomes) pushed below delta/(2K+1) by union bound, giving
     N_shot = ceil((2/eta²)·ln(2(2K+1)/δ))."""
+    eta, delta, K = _real("eta", eta), _real("delta", delta), _count("K", K)
     if eta <= 0:
         raise ConfigError(f"eta must be positive, got {eta}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if K < 0:
-        raise ConfigError(f"K must be >= 0, got {K}")
     return math.ceil(2.0 / eta**2 * math.log(2.0 * (2 * K + 1) / delta))

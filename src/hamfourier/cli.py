@@ -6,7 +6,7 @@ Option precedence for the experiment knobs: HAMFOURIER_SEED environment
 variable (master seed only) > explicit flags > --config JSON file >
 built-in defaults.  The config file's keys are the ExperimentConfig field
 names (e.g. {"n": 12, "schedule": "1,1,2"}), as in a dataset's sidecar;
-ExperimentConfig.from_dict checks every value, wherever it comes from.
+ExperimentConfig checks every value as given, wherever it comes from.
 
 Each subcommand prints a refused input (ConfigError) or an unreadable file
 (OSError) as "error: <message>" and exits with code 2; other exceptions
@@ -79,10 +79,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _env_seed() -> int | None:
     """The master seed from HAMFOURIER_SEED, None when it is unset."""
     value = os.environ.get(SEED_ENV_VAR)
-    if value is None:
-        return None
     try:
-        return int(value)
+        return None if value is None else int(value)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, "
                           f"got {value!r}") from None
@@ -197,37 +195,25 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if result["pass"] else 1
 
     config = build_config(args)
-
-    if args.command == "generate":
-        cmd_generate(config, args.out)
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.command == "features":
-        cmd_features(config, args.in_path, args.out)
-        print(f"wrote {args.out}")
-        return 0
-
     if args.command == "train":
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
         metrics = cmd_train_eval(config, args.features, args.in_path,
-                                 out_dir / "model.json",
-                                 out_dir / "metrics.json")
+                                 args.out / "model.json",
+                                 args.out / "metrics.json")
         print(json_17g(metrics.to_dict()))
         return 0
-
-    if args.command == "scatter":
-        if args.exact and args.noisy:
-            cmd_scatter(args.exact, args.noisy, args.out)
-        elif args.in_path:
-            overlap_scatter(config, args.in_path, args.out)
-        else:
-            raise ConfigError("scatter needs either --exact/--noisy or --in")
-        print(f"wrote {args.out}")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command == "generate":
+        cmd_generate(config, args.out)
+    elif args.command == "features":
+        cmd_features(config, args.in_path, args.out)
+    elif args.exact and args.noisy:  # scatter's two modes
+        cmd_scatter(args.exact, args.noisy, args.out)
+    elif args.in_path:
+        overlap_scatter(config, args.in_path, args.out)
+    else:
+        raise ConfigError("scatter needs either --exact/--noisy or --in")
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

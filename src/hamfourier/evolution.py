@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import ConfigError, CouplingSpec, _sectors, spectral_sum
+from .hamiltonians import (ConfigError, CouplingSpec, _count, _real, _sectors,
+                           spectral_sum)
 from .states import StateVector
 
 
@@ -75,8 +76,7 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
     Exactly unitary and exactly magnetization-conserving for any n_step
     (every factor is); the approximation error is O((t/n_step)^2) globally.
     """
-    if n_step < 1:
-        raise ConfigError(f"n_step must be >= 1, got {n_step}")
+    n_step, t = _count("n_step", n_step, 1), _real("t", t)
     states, amps = map(np.concatenate, zip(*[
         (rows, evolved[:, 0] * phase[0]) for _, rows, evolved, phase in
         _strang_sectors([spec], v, [t], [n_step], palindrome=True)]))
@@ -96,8 +96,7 @@ def amplitude_rows(specs, psi: StateVector, times,
         if len(schedule) != len(times):
             raise ConfigError(f"schedule has {len(schedule)} step counts for "
                               f"{len(times)} times")
-        if min(schedule) < 1:
-            raise ConfigError(f"all step counts must be >= 1, got {schedule}")
+        schedule = [_count("step count", s, 1) for s in schedule]
         out = np.zeros((len(specs), len(times)), dtype=complex)
         for row, _, phi, phase in _strang_sectors(specs, psi, times, schedule):
             # φ'ᵀφ: φ' is c̄'s last K+1 columns, or φ itself for a real c

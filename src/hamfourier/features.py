@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import amplitude_rows
-from .hamiltonians import ConfigError, CouplingSpec, spectral_bound
+from .hamiltonians import (ConfigError, CouplingSpec, _count, _real,
+                           spectral_bound)
 from .rng import ROLE_SHOTS, substreams
 from .states import StateVector
 
@@ -78,14 +79,13 @@ class FeatureMapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ConfigError(f"K must be >= 0, got {self.K}")
-        if self.C <= 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
+        for name in ("K", "n_shot", "seed"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if (C := _real("C", self.C)) <= 0:
+            raise ConfigError(f"C must be positive, got {C}")
+        object.__setattr__(self, "C", C)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend {self.backend!r} not in {BACKENDS}")
-        if self.n_shot < 0:
-            raise ConfigError(f"n_shot must be >= 0, got {self.n_shot}")
         if self.backend == "exact" and self.n_shot:
             raise ConfigError(
                 f"backend 'exact' draws no shots, got n_shot = {self.n_shot}; "
@@ -95,9 +95,8 @@ class FeatureMapConfig:
             if len(self.schedule) != self.K + 1:
                 raise ConfigError(f"schedule has {len(self.schedule)} entries, "
                                   f"need K+1 = {self.K + 1}")
-            if min(self.schedule) < 1:
-                raise ConfigError("all step counts must be >= 1, got "
-                                  f"{self.schedule}")
+            object.__setattr__(self, "schedule", tuple(
+                _count("step count", s, 1) for s in self.schedule))
 
     def times(self) -> np.ndarray:
         """Feature times t_l = lπ/C for l = 0..K."""
@@ -218,8 +217,7 @@ def _shot_counts(p: np.ndarray, n_shot: int, seed: int, samples) -> np.ndarray:
     """Successes of N_shot shots per circuit, for outcome probabilities p of
     shape samples.shape + (L, circuits): entry (..., l, circuit) draws from
     the substream (seed, ROLE_SHOTS, sample, l, circuit)."""
-    if n_shot < 1:
-        raise ConfigError(f"n_shot must be >= 1, got {n_shot}")
+    _count("n_shot", n_shot, 1)
     times, circuits = p.shape[-2:]
     keys = ((ROLE_SHOTS, s, l, c)
             for s in np.broadcast_to(samples, p.shape[:-2]).ravel().tolist()

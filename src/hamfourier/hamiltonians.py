@@ -9,15 +9,16 @@ popcount), which lets us work on one sector block at a time instead of
 the full 2^n matrix, for a batch of specs at once (spectral_measures): by
 certified Lanczos quadrature, chunks of samples in lockstep on matrix-free
 H·V, or by stacked dense eigh per total-spin block ([H, S²] = 0).  Every
-sector kernel (H·V, the spin blocks, the Strang gates of evolution) reads
-one cached pattern per sector: its basis, Z Z signs and bonds' flip pairs,
-reached only through _sectors, which holds each path to SECTOR_BYTES_CAP.
+path enters through _sectors, held to SECTOR_BYTES_CAP before any build;
+H·V and the spin blocks then look up a sector's cached pattern (basis, Z Z
+signs, bonds' flip pairs), the Strang gates read the cone's from _sectors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -53,6 +54,23 @@ class ConfigError(ValueError):
     sector size, setting or file content it cannot work with."""
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """A count that enters the package: an int (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real that enters the package (an int or finite float) as a float."""
+    if isinstance(value, (int, float, np.integer)) and not isinstance(
+            value, bool) and abs(value) <= sys.float_info.max:  # not nan, inf
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """A Heisenberg chain given by its bond couplings J_0..J_{n-2}.
@@ -66,15 +84,13 @@ class CouplingSpec:
     couplings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigError(f"need at least 2 qubits, got n={self.n}")
-        if len(self.couplings) != self.n - 1:
-            raise ConfigError(
-                f"expected {self.n - 1} couplings for n={self.n}, "
-                f"got {len(self.couplings)}"
-            )
-        if not all(math.isfinite(j) for j in self.couplings):
-            raise ConfigError("couplings must be finite")
+        object.__setattr__(self, "n", _count("n", self.n, 2))
+        if len(js := tuple(self.couplings)) != self.n - 1:
+            raise ConfigError(f"expected {self.n - 1} couplings for "
+                              f"n={self.n}, got {len(js)}")
+        if not all(type(j) is float and math.isfinite(j) for j in js):
+            js = tuple(_real("coupling", j) for j in js)  # the slow path
+        object.__setattr__(self, "couplings", js)
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,7 @@ def sample_couplings(n: int, rng: np.random.Generator) -> CouplingSpec:
     An all-zero draw (possible in principle with a quantized source) is
     rejected and redrawn so the normalization never divides by zero.
     """
-    if n < 2:
-        raise ConfigError(f"need at least 2 qubits, got n={n}")
+    _count("n", n, 2)
     while True:
         raw = rng.uniform(-1.0, 1.0, size=n - 1)
         total = float(np.sum(np.abs(raw)))
@@ -176,7 +191,7 @@ def _sector_operator(couplings, magnetization: int):
     cols = np.concatenate([ab[::-1] for ab in bonds], axis=None)
     rows = (np.concatenate(bonds, axis=None)
             + diag.shape[1] * np.arange(len(j))[:, None]).ravel()
-    scale = 2.0 * j[:, :, None]  # every bond flips C(n-2, k-1) pairs
+    scale = 2.0 * j[:, :, None]  # every bond flips _bond_pairs pairs
 
     def hop(part):  # gathered per row, scaled per bond, scattered flat
         terms = part.take(cols, axis=1).reshape(*scale.shape[:2], -1)
@@ -193,11 +208,16 @@ def _sector_operator(couplings, magnetization: int):
     return apply
 
 
+def _bond_pairs(n: int, k: int) -> int:
+    """Flip pairs of each bond in sector k: C(n-2, k-1), 0 at k = 0 or n."""
+    return k and math.comb(n - 2, k - 1)
+
+
 def _sector_bytes(n: int, k: int, d: int | None = None) -> int:
     """Bytes of _sector_pattern(n, k) from counts: 8 per state and Z Z sign,
-    16 per flip pair, C(n-2, k-1) per bond, 8 per bond offset; of a cone of
+    16 per flip pair, _bond_pairs per bond, 8 per bond offset; of a cone of
     d < C(n, k) of its states, each the a end of at most min(k, n-k) pairs."""
-    d, pairs = d or math.comb(n, k), (n - 1) * (k and math.comb(n - 2, k - 1))
+    d, pairs = d or math.comb(n, k), (n - 1) * _bond_pairs(n, k)
     pairs = pairs if d == math.comb(n, k) else d * min(k, n - k)
     return 8 * n * d + 16 * pairs + 8 * n
 
@@ -207,7 +227,7 @@ def _lanczos_bytes(n: int, k: int, b: int) -> int:
     samples retire (H·V's 2P flip terms take less): per sample three complex
     Krylov rows, compacted copies of two, and the old and new operators'
     Z Z diagonals and 2P row indexes; per chunk their 2P columns and more."""
-    d, pairs = math.comb(n, k), (n - 1) * math.comb(n - 2, k - 1)
+    d, pairs = math.comb(n, k), (n - 1) * _bond_pairs(n, k)
     return b * (96 * d + 32 * pairs) + 48 * pairs
 
 
@@ -292,11 +312,10 @@ def spectral_measures(specs, v, integrand=None):
             return _lanczos_bytes(n, k, size), "pattern and Lanczos chunk"
         dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2-t
                 for t in range(min(k, n - k) + 1)]
-        bond = k and math.comb(n - 2, k - 1)  # flip pairs per bond
         # every Q_S and bond operator, S², eigh's copy and workspace (3d²),
-        # the largest block's P_m Q_S and one bond's 3 gathered (bond, d_S)
+        # the largest block's P_m Q_S and one bond's 3 gathered (pairs, d_S)
         return 8 * ((n - 1) * sum(x * x for x in dims) + 5 * d * d + max(
-            dims) * ((n - 1) * d + 3 * bond)), "spin blocks"
+            dims) * ((n - 1) * d + 3 * _bond_pairs(n, k))), "spin blocks"
 
     sectors = _sectors(specs, v, extra_bytes)  # checks specs share n
     couplings = np.array([spec.couplings for spec in specs])
@@ -408,5 +427,4 @@ def coupling_record(spec: CouplingSpec) -> dict:
 
 
 def coupling_from_record(record: dict) -> CouplingSpec:
-    return CouplingSpec(n=int(record["n"]),
-                        couplings=tuple(float(j) for j in record["couplings"]))
+    return CouplingSpec(n=record["n"], couplings=record["couplings"])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import ConfigError, spectral_sum
+from .hamiltonians import ConfigError, _real, spectral_sum
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -49,11 +49,13 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"kind {self.kind!r} not in {KINDS}")
+        for name in ("C", "param"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.C <= 0:
             raise ConfigError(f"C must be positive, got {self.C}")
         if self.coeffs is not None:
             object.__setattr__(self, "coeffs",
-                               tuple(float(c) for c in self.coeffs))
+                               tuple(_real("coeff", c) for c in self.coeffs))
         if self.kind == "fourier":
             if not self.coeffs:
                 raise ConfigError("fourier kind needs coeffs")

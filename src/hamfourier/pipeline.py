@@ -16,22 +16,17 @@ from __future__ import annotations
 import json
 import math
 import os
-import typing
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import features as ft
 from . import labels as lb
-from .hamiltonians import (
-    ConfigError,
-    CouplingSpec,
-    coupling_from_record,
-    coupling_record,
-    sample_couplings,
-)
+from .hamiltonians import (ConfigError, CouplingSpec, _count, _real,
+                           coupling_from_record, coupling_record,
+                           sample_couplings)
 from .regression import (
     DesignMatrix,
     Metrics,
@@ -80,24 +75,38 @@ class ExperimentConfig:
     coeffs: tuple[float, ...] | None = None
     state: str = "domain_wall"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # each field checked as given
+        for name in ("n", "num", "seed", "k", "shots"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("split", "c", "beta", "w_bound", "alpha"):
+            value = getattr(self, name)
+            if value is not None or name not in ("w_bound", "alpha"):
+                object.__setattr__(self, name, _real(name, value))
+        for name in ("backend", "method", "f_kind", "state", "schedule"):
+            if not isinstance(value := getattr(self, name), str) and (
+                    value is not None or name != "schedule"):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        if self.coeffs is not None:
+            coeffs = _split("coeffs", self.coeffs, float)
+            object.__setattr__(self, "coeffs", tuple(
+                _real("coeff", c) for c in coeffs))
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must lie in (0, 1), got {self.split}")
-        if self.num < 0:
-            raise ConfigError(f"num must be >= 0, got {self.num}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
+        self._steps()
+
+    def _steps(self) -> tuple[int, ...] | None:
+        """The schedule's Trotter step counts, None without a schedule."""
+        return tuple(_count("step count", s, 1) for s in _split(
+            "schedule", self.schedule, int)) if self.schedule else None
 
     def function_spec(self) -> lb.FunctionSpec:
         return lb.FunctionSpec(self.f_kind, self.c, self.beta, self.coeffs)
 
     def feature_map(self) -> ft.FeatureMapConfig:
-        schedule = (_parse_list("schedule", self.schedule, int)
-                    if self.schedule else None)
         return ft.FeatureMapConfig(K=self.k, C=self.c, backend=self.backend,
-                                   n_shot=self.shots, schedule=schedule,
+                                   n_shot=self.shots, schedule=self._steps(),
                                    seed=self.seed)
 
     def psi(self) -> StateVector:
@@ -110,38 +119,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The config of a dict keyed by field names, values as _typed."""
-        hints = typing.get_type_hints(cls)
-        if unknown := [key for key in d if key not in hints]:
+        """The config of a dict keyed by field names, checked as fields."""
+        names = [f.name for f in fields(cls)]
+        if unknown := [key for key in d if key not in names]:
             raise ConfigError(f"unknown config key {unknown[0]!r}; the keys "
-                              f"are the fields {', '.join(hints)}")
-        return cls(**{k: _typed(k, v, hints[k]) for k, v in d.items()})
+                              f"are the fields {', '.join(names)}")
+        return cls(**d)
 
 
-def _typed(key: str, value, hint):
-    """value as its field's type: an int field takes an int, a float field
-    an int or a finite float (a bool is neither), a str field a str; an
-    optional field also takes None, and coeffs a comma string or a list."""
-    kinds = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in kinds:
-        return None
-    if key == "coeffs":
-        return _parse_list(key, value, float)
-    is_int = isinstance(value, int) and not isinstance(value, bool)
-    if int in kinds and is_int or str in kinds and isinstance(value, str):
-        return value
-    if float in kinds and (is_int or isinstance(value, float)
-                           and math.isfinite(value)):
-        return float(value)
-    kind = {int: "an int", float: "a finite number"}.get(kinds[0], "a string")
-    raise ConfigError(f"{key} must be {kind}, got {value!r}")
-
-
-def _parse_list(name: str, value, kind) -> tuple:
-    """A comma-separated string (or a sequence) as a tuple of kind."""
+def _split(name: str, value, kind) -> list:
+    """The entries of a comma-separated string read as kind, or of another
+    sequence as they are."""
     try:
-        return tuple(map(kind, value.split(",") if isinstance(value, str)
-                         else value))
+        return list(map(kind, value.split(",")) if isinstance(value, str)
+                    else value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be comma-separated {kind.__name__}s, "
                           f"got {value!r}") from None
@@ -233,16 +224,18 @@ def _by_state(rows, compute) -> list:
 
 
 def read_dataset(path) -> list[tuple[CouplingSpec, object, float]]:
-    """(spec, state descriptor, y) per record; a line that is not a JSON
-    record with n, couplings, state and y is refused with its number."""
-    rows = []
+    """(spec, state descriptor, y) per nonblank line; one that is not a JSON
+    record of a valid n, couplings, state and y is refused with its number."""
+    rows, states = [], {}  # each state built once, by (n, descriptor)
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            rows.append((coupling_from_record(rec), rec["state"],
-                         float(rec["y"])))
+            spec, descriptor = coupling_from_record(rec), rec["state"]
+            rows.append((spec, descriptor, _real("y", rec["y"])))
+            if (key := (spec.n, repr(descriptor))) not in states:
+                states[key] = state_from_descriptor(spec.n, descriptor)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path} line {number} is not JSON: {err.msg}"
                               ) from None
@@ -361,7 +354,10 @@ def cmd_scatter(exact_path, noisy_path, out_path) -> Path:
         raise ConfigError(
             f"shape mismatch: {exact.shape} vs {noisy.shape}"
         )
-    header = Path(exact_path).read_text().splitlines()[0].split(",")
+    header = Path(exact_path).read_text().partition("\n")[0].split(",")
+    if not header[0] or len(header) < exact.shape[1]:  # empty, or narrow
+        raise ConfigError(f"{exact_path} line 1 is not a header as wide "
+                          f"as its rows")
     lines = ["column,row,exact,estimated"]
     for i in range(exact.shape[0]):
         for j in range(exact.shape[1]):
@@ -376,8 +372,7 @@ def overlap_scatter(config: ExperimentConfig, dataset_path, out_path) -> Path:
     index, and circuit (the four w's) of the overlap-shots readout, with
     the draws and the Trotter schedule of the matching feature rows; rows
     at t = 0 show the degenerate peaks w_+ = 1 and w_±i = 1/2."""
-    if config.shots < 1:
-        raise ConfigError("overlap scatter needs shots >= 1")
+    _count("overlap scatter shots", config.shots, 1)
     cfg = replace(config, backend="overlap-shots").feature_map()
     lines, times = ["sample,l,circuit,exact,estimated"], cfg.times()
 

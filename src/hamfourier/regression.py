@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import ConfigError
+from .hamiltonians import ConfigError, _real
 
 NORM_MATCH_RTOL = 1e-8
 MAX_BISECT_ITERS = 500
@@ -102,15 +102,15 @@ def _ridge_path(data: DesignMatrix):
 
 def fit_ridge(data: DesignMatrix, alpha: float) -> RegressionModel:
     """Minimizer of ||y - Xw||² + α||w||²; α = 0 reduces to OLS."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if (alpha := _real("alpha", alpha)) < 0:
+        raise ConfigError(f"alpha must be non-negative, got {alpha}")
     weights, _ = _ridge_path(data)
     return RegressionModel(weights=weights(alpha), method="ridge")
 
 
 def fit_constrained(data: DesignMatrix, w_bound: float) -> RegressionModel:
     """Empirical-loss minimizer under ||w||₂ <= w_bound."""
-    if w_bound <= 0:
+    if (w_bound := _real("w_bound", w_bound)) <= 0:
         raise ConfigError(f"norm budget must be positive, got {w_bound}")
     weights, norm = _ridge_path(data)
     if norm(0.0) <= w_bound:

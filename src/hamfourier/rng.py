@@ -10,11 +10,10 @@ one pass (keyed streams: Salmon et al., SC 2011; PCG64: O'Neill, 2014).
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
-from .hamiltonians import ConfigError
+from .hamiltonians import ConfigError, _count
 
 # role tags for substream derivation
 ROLE_COUPLINGS = 1
@@ -76,9 +75,7 @@ def substreams(master_seed: int, keys):
     equal-length sequences of indices in [0, 2**32), in order.  One
     Generator is re-seeded in place per key, so take a key's draws before
     advancing; it has no seed sequence to spawn from."""
-    seed = operator.index(master_seed)
-    if seed < 0:
-        raise ConfigError("master seed must be non-negative")
+    seed = _count("master seed", master_seed)
     words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
     bitgen = np.random.PCG64(0)  # placeholder seed: each key sets the state
     gen, state = np.random.Generator(bitgen), bitgen.state

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import ConfigError
+from .hamiltonians import ConfigError, _count
 
 NORM_TOL = 1e-10
 
@@ -23,18 +23,19 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 63:
+        if _count("n", self.n, 1) > 63:
             raise ConfigError(f"int64 indices need n in [1, 63], got {self.n}")
-        idx = np.asarray(self.support, dtype=np.int64)
+        idx = np.asarray(self.support)  # cast once its kind is checked
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if (idx.ndim != 1 or idx.shape != amps.shape or np.any(idx >> self.n)
-                or np.any(np.diff(idx) <= 0)):  # idx >> n is -1 where idx < 0
+        if (idx.dtype.kind not in "iu" or idx.ndim != 1 or idx.shape !=
+                amps.shape or np.any(idx >> self.n)  # -1 where idx < 0
+                or np.any(idx[1:] <= idx[:-1])):
             raise ConfigError(f"a state needs one strictly ascending index in "
                               f"[0, 2^{self.n}) per amplitude")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:  # nan too
             raise ConfigError("state is not normalized")
         keep = amps != 0
-        object.__setattr__(self, "support", idx[keep])
+        object.__setattr__(self, "support", idx[keep].astype(np.int64))
         object.__setattr__(self, "amplitudes", amps[keep])
 
     def on(self, states) -> np.ndarray:
@@ -45,6 +46,8 @@ class StateVector:
 
 def basis_state(n: int, bitstring: str) -> StateVector:
     """Unit vector on one computational basis element."""
+    if not isinstance(bitstring, str):
+        raise ConfigError(f"bitstring must be a string, got {bitstring!r}")
     if len(bitstring) != n:
         raise ConfigError(
             f"bitstring {bitstring!r} has {len(bitstring)} bits, expected {n}"

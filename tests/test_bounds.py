@@ -109,6 +109,11 @@ class TestSufficientParameters:
         with pytest.raises(ValueError):
             sufficient_parameters(eps, 1.0, 1.0)
 
+    @pytest.mark.parametrize("w_budget, f_inf", [(0, 1), (1, 0), (-1, 1)])
+    def test_budget_and_sup_norm_must_be_positive(self, w_budget, f_inf):
+        with pytest.raises(ValueError, match="W and f_inf must be positive"):
+            sufficient_parameters(0.1, w_budget, f_inf)
+
 
 class TestHoeffdingShots:
     def test_reference_values(self):

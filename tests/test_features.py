@@ -340,6 +340,12 @@ class TestNoisyFeatures:
         with pytest.raises(ConfigError, match="exact"):
             FeatureMapConfig(K=2, C=3.0, backend="exact", n_shot=10)
 
+    def test_overlap_estimate_needs_the_reference_eigenvalues(self):
+        # the recombination phase e^{-i λ_ref t} cannot be guessed
+        cfg = FeatureMapConfig(K=1, C=3.0, backend="overlap-shots", n_shot=5)
+        with pytest.raises(ConfigError, match="needs lambda_ref"):
+            estimate(np.ones((1, 2), dtype=complex), cfg, [0])
+
     def test_hadamard_coverage_at_prescribed_budget(self, rng):
         # N_shot = hoeffding_shots(0.05, 0.05, 11) = 5460 keeps all 23
         # estimates within 0.05 for >= 95% of seeds

@@ -30,7 +30,7 @@ class TestCouplingSpec:
             CouplingSpec(n=4, couplings=(0.5, 0.5))
 
     def test_too_few_qubits_rejected(self):
-        with pytest.raises(ConfigError, match="need at least 2 qubits"):
+        with pytest.raises(ConfigError, match="n must be >= 2, got 1"):
             CouplingSpec(n=1, couplings=())
 
     def test_non_finite_rejected(self):
@@ -60,7 +60,7 @@ class TestSampleCouplings:
         assert a == b
 
     def test_invalid_dimension(self, rng):
-        with pytest.raises(ConfigError, match="need at least 2 qubits"):
+        with pytest.raises(ConfigError, match="n must be >= 2, got 1"):
             sample_couplings(1, rng)
 
     def test_all_zero_draw_redrawn(self):

@@ -69,6 +69,14 @@ class TestSerialization:
         back = ExperimentConfig.from_dict(json.loads(json_17g(asdict(config))))
         assert back == config
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num": -1}, "num must be >= 0, got -1"),
+        ({"method": "lasso"}, "unknown method 'lasso'"),
+    ])
+    def test_config_refuses_out_of_range_knobs(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
     def test_state_descriptor_roundtrip(self):
         assert dense(state_from_descriptor(4, "domain_wall"))[
             int("0110", 2)] == 1.0
@@ -114,6 +122,12 @@ class TestGenerate:
         assert sidecar.exists()
         back = ExperimentConfig.from_dict(json.loads(sidecar.read_text()))
         assert back == SMALL
+
+    def test_blank_lines_are_skipped(self, small_dataset):
+        rows = read_dataset(small_dataset)
+        lines = small_dataset.read_text().splitlines(keepends=True)
+        small_dataset.write_text("\n" + lines[0] + "  \n" + "".join(lines[1:]))
+        assert read_dataset(small_dataset) == rows
 
     def test_basis_state_mode(self, tmp_path):
         from dataclasses import asdict, replace
@@ -307,6 +321,28 @@ class TestTrainStage:
         assert metrics.r2 > 0.999
 
 
+    def test_ridge_without_a_validation_fifth_takes_the_first_alpha(
+            self, tmp_path, small_dataset):
+        # 5 rows: ceil(0.8·5) = 4 train, and ceil(0.8·4) = 4 of them fit,
+        # so no row is left to score the grid on
+        five = tmp_path / "five.jsonl"
+        five.write_text("".join(small_dataset.read_text().splitlines(
+            keepends=True)[:5]))
+        feats = tmp_path / "f.csv"
+        config = replace(SMALL, num=5, method="ridge")
+        cmd_features(config, five, feats)
+        assert main(["train", "--n", "4", "--k", "3", "--seed", "3",
+                     "--method", "ridge", "--in", str(five), "--features",
+                     str(feats), "--out", str(tmp_path / "run")]) == 0
+        train_idx, _ = split_indices(5, config.split, config.seed)
+        assert len(train_idx) == 4
+        x = read_features(feats)[train_idx]
+        y = np.array([row[2] for row in read_dataset(five)])[train_idx]
+        weights = json.loads((tmp_path / "run" / "model.json").read_text())[
+            "weights"]
+        assert weights == fit_ridge(DesignMatrix(X=x, y=y),
+                                    RIDGE_ALPHA_GRID[0]).weights.tolist()
+
     def test_ridge_grid_runs_one_svd(self, rng, monkeypatch):
         # every alpha's weights come from one SVD of the fit rows, and the
         # pick is that of seven separate fits scored by hand
@@ -431,6 +467,17 @@ class TestReproduce:
         with pytest.raises(ConfigError, match="desk-scale"):
             cmd_reproduce(row, tmp_path)
 
+    def test_failed_threshold_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a row whose threshold no fit can meet: the stages run, the check
+        # fails, and the exit code says so
+        from hamfourier.pipeline import REPRODUCE_ROWS
+        monkeypatch.setitem(REPRODUCE_ROWS, "exact12", {
+            "config": SMALL, "reference": {"r2": 1.0, "mse": 0.0},
+            "criteria": {"r2_min": 2.0}})
+        assert main(["reproduce", "--row", "exact12", "--out",
+                     str(tmp_path)]) == 1
+        assert "[FAIL] r2 >= 2" in capsys.readouterr().out
+
     def test_reproduce_equals_chained_stages(self, tmp_path):
         # composability: the row runner is exactly generate -> features -> train
         from hamfourier.pipeline import REPRODUCE_ROWS
@@ -500,6 +547,14 @@ class TestCli:
         assert data_flag.read_bytes() != data_env.read_bytes()
         back = json.loads(sidecar_path(data_env).read_text())
         assert back["seed"] == 99
+
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert main(["generate", "--n", "4", "--num", "5", "--out",
+                     str(tmp_path / "g.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {SEED_ENV_VAR} must be an integer, got 'abc'\n")
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_file = tmp_path / "config.json"
@@ -578,7 +633,7 @@ class TestCli:
         (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
                   "constrained"], "needs w_bound"),
         (["scatter", *SIZE, "--in", "{data}", "--out", "{tmp}/s.csv",
-          "--shots", "0"], "needs shots >= 1"),
+          "--shots", "0"], "overlap scatter shots must be >= 1, got 0"),
         (FEATURES + ["--nstep-schedule", "0,1,1,1"], "must be >= 1"),
         (FEATURES + ["--nstep-schedule", "1,x,1,1"], "comma-separated ints"),
         (GENERATE + ["--f", "fourier", "--coeffs", "1,2"],
@@ -588,7 +643,8 @@ class TestCli:
         (GENERATE + ["--c", "0"], "C must be positive"),
         (GENERATE + ["--state", "01x1"], "non-binary characters"),
         (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
-                  "ridge", "--alpha", "-1"], "alpha must be >= 0"),
+                  "ridge", "--alpha", "-1"],
+         "alpha must be non-negative, got -1.0"),
         (TRAIN + ["--in", "{data}", "--features", "{feats}", "--method",
                   "constrained", "--w-bound", "-1"],
          "norm budget must be positive"),
@@ -641,6 +697,8 @@ class TestCli:
          "null_cell line 3 is not a row of numbers as wide as the header"),
         (["generate", "--n", "64", "--num", "1", "--out", "{tmp}/g.jsonl"],
          "int64 indices need n in [1, 63], got 64"),
+        (["scatter", "--exact", "{empty}", "--noisy", "{empty}", "--out",
+          "{tmp}/s.csv"], "empty line 1 is not a header as wide as its rows"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
@@ -661,7 +719,8 @@ class TestCli:
                            ("cut_record", records[:2] + ['{"n": 4,\n']),
                            ("no_couplings", records[:2] + [no_couplings]),
                            ("no_y", records[:2] + [no_y]),
-                           ("null_cell", rows[:2] + ["1,null,0,1,0,1,0\n"])):
+                           ("null_cell", rows[:2] + ["1,null,0,1,0,1,0\n"]),
+                           ("empty", "")):
             files[name] = tmp_path / name
             files[name].write_text("".join(text))
         rc = main([arg.format(**files) for arg in argv])

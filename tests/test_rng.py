@@ -67,5 +67,5 @@ def test_refuses_bad_input(seed, keys):
 
 
 def test_negative_seed_refused():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="master seed must be >= 0, got -1"):
         substream(-1, 2)

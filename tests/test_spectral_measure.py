@@ -272,6 +272,18 @@ def test_lanczos_estimate_bounds_a_chunk(n, phase, rng):
     assert peak <= _lanczos_bytes(n, k, b), (peak, _lanczos_bytes(n, k, b))
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_one_pair_count_per_bond_in_every_sector(n):
+    # the estimates share one count of flip pairs, that of the pattern; the
+    # empty and the full sector (k = 0, n) hold one state and no pair
+    for k in range(n + 1):
+        pairs = _sector_pattern(n, k)[2].shape[1]
+        assert pairs == (n - 1) * hm._bond_pairs(n, k)
+    for k in (0, n):
+        assert hm._bond_pairs(n, k) == 0
+        assert _lanczos_bytes(n, k, 3) == 3 * 96  # three samples on d = 1
+
+
 def test_spin_block_estimate_bounds_a_build(rng, monkeypatch):
     # growth of the peak RSS (Linux VmHWM, which starts afresh at exec,
     # unlike ru_maxrss) over one n=12 half-filling build in a new process;
