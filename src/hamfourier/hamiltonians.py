@@ -351,16 +351,12 @@ def spectral_sum(specs, v, integrand, dense=False) -> np.ndarray:
     """<ψ|g(H)|ψ> for every sample of the batch, g = integrand (as in
     spectral_measures) summed over occupied sectors; dense puts every sector
     on the exact path (steps, where quadrature does not converge)."""
-    total, sector, start = None, None, 0
+    parts = {}  # ascending sectors, each one's records in batch order
     for rec in spectral_measures(specs, v, None if dense else integrand):
-        part = _integral(integrand, rec.eigenvalues, rec.probabilities)
-        if total is None:  # zeros + part rounds like sum()'s 0 + part
-            total = np.zeros((len(specs), *part.shape[1:]), part.dtype)
-        if rec.magnetization != sector:  # each sector covers the batch anew
-            sector, start = rec.magnetization, 0
-        total[start:start + len(part)] += part
-        start += len(part)
-    return total
+        parts.setdefault(rec.magnetization, []).append(
+            _integral(integrand, rec.eigenvalues, rec.probabilities))
+    # from 0, sector by sector: one running total's rounding
+    return sum(np.concatenate(part) for part in parts.values())
 
 
 def _lanczos(couplings, k: int, comp: np.ndarray, integrand):
@@ -417,14 +413,3 @@ def _lanczos(couplings, k: int, comp: np.ndarray, integrand):
         w /= beta[:, None]
         v_prev, v = v, w
 
-
-# --- JSONL interchange -------------------------------------------------
-
-def coupling_record(spec: CouplingSpec) -> dict:
-    """JSON-ready record; floats are emitted with 17 significant digits by
-    the writers, which round-trips every IEEE double bit-exactly."""
-    return {"n": spec.n, "couplings": list(spec.couplings)}
-
-
-def coupling_from_record(record: dict) -> CouplingSpec:
-    return CouplingSpec(n=record["n"], couplings=record["couplings"])

@@ -25,7 +25,6 @@ import numpy as np
 from . import features as ft
 from . import labels as lb
 from .hamiltonians import (ConfigError, CouplingSpec, _count, _real,
-                           coupling_from_record, coupling_record,
                            sample_couplings)
 from .regression import (
     DesignMatrix,
@@ -189,10 +188,9 @@ def cmd_generate(config: ExperimentConfig, out_path) -> Path:
              for rng in substreams(config.seed, keys)]
     lines = []
     for spec, y in zip(specs, lb.label_rows(specs, psi, fspec) if specs else []):
-        record = coupling_record(spec)
-        record["state"] = config.state_descriptor()
-        record["y"] = float(y)
-        lines.append(json_17g(record))
+        lines.append(json_17g({"n": spec.n, "couplings": spec.couplings,
+                               "state": config.state_descriptor(),
+                               "y": float(y)}))
     if not lines:
         warnings.warn("generated an empty dataset (num = 0)")
     atomic_write(out_path, "".join(line + "\n" for line in lines))
@@ -232,7 +230,8 @@ def read_dataset(path) -> list[tuple[CouplingSpec, object, float]]:
             continue
         try:
             rec = json.loads(line)
-            spec, descriptor = coupling_from_record(rec), rec["state"]
+            spec = CouplingSpec(n=rec["n"], couplings=rec["couplings"])
+            descriptor = rec["state"]
             rows.append((spec, descriptor, _real("y", rec["y"])))
             if (key := (spec.n, repr(descriptor))) not in states:
                 states[key] = state_from_descriptor(spec.n, descriptor)
@@ -265,25 +264,26 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
 
 
 def read_features(path) -> np.ndarray:
-    """The rows under the header; the first line that is not a row of
-    numbers as wide as the header is refused with its number."""
-    try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
-        header, *lines = Path(path).read_text().splitlines()
-        for number, line in enumerate(lines, 2):
-            if line.strip() and not _is_row(line, header.count(",") + 1):
-                raise ConfigError(f"{path} line {number} is not a row of "
-                                  f"numbers as wide as the header: {line!r}"
-                                  ) from None
-        raise ConfigError(f"{path}: {err}") from None
-
-
-def _is_row(line: str, width: int) -> bool:
-    try:
-        return len(np.array(line.split(","), dtype=float)) == width
-    except ValueError:
-        return False
+    """The rows under a nonempty header, each line converted once; the first
+    that is not a row of finite numbers as wide as the header is refused
+    with its number."""
+    header, *lines = Path(path).read_text().splitlines() or [""]
+    if not header:
+        raise ConfigError(f"{path} line 1 is not a header of column names")
+    width = header.count(",") + 1
+    rows = [(number, line) for number, line in enumerate(lines, 2)
+            if line.strip()]
+    x = np.empty((len(rows), width))
+    for i, (number, line) in enumerate(rows):
+        try:  # float() would read the digit separator of 1_5 as 15
+            row = [] if "_" in line else list(map(float, line.split(",")))
+        except ValueError:
+            row = []
+        if len(row) != width or not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path} line {number} is not a row of finite "
+                              f"numbers as wide as the header: {line!r}")
+        x[i] = row
+    return x
 
 
 # --- training stage ------------------------------------------------------
@@ -355,9 +355,6 @@ def cmd_scatter(exact_path, noisy_path, out_path) -> Path:
             f"shape mismatch: {exact.shape} vs {noisy.shape}"
         )
     header = Path(exact_path).read_text().partition("\n")[0].split(",")
-    if not header[0] or len(header) < exact.shape[1]:  # empty, or narrow
-        raise ConfigError(f"{exact_path} line 1 is not a header as wide "
-                          f"as its rows")
     lines = ["column,row,exact,estimated"]
     for i in range(exact.shape[0]):
         for j in range(exact.shape[1]):

@@ -25,8 +25,10 @@ class StateVector:
     def __post_init__(self) -> None:
         if _count("n", self.n, 1) > 63:
             raise ConfigError(f"int64 indices need n in [1, 63], got {self.n}")
-        idx = np.asarray(self.support)  # cast once its kind is checked
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        idx, amps = np.asarray(self.support), np.asarray(self.amplitudes)
+        if amps.dtype.kind not in "iufc":  # each cast once its kind is checked
+            raise ConfigError(f"amplitudes must be numbers, got {amps.dtype}")
+        amps = amps.astype(complex)
         if (idx.dtype.kind not in "iu" or idx.ndim != 1 or idx.shape !=
                 amps.shape or np.any(idx >> self.n)  # -1 where idx < 0
                 or np.any(idx[1:] <= idx[:-1])):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,13 +9,10 @@ from hamfourier.hamiltonians import (
     ConfigError,
     _sector_operator,
     _sector_pattern,
-    coupling_from_record,
-    coupling_record,
     sample_couplings,
     spectral_bound,
     spectral_measures,
 )
-from hamfourier.pipeline import json_17g
 from hamfourier.states import basis_state, domain_wall
 
 from conftest import (dense, dense_hamiltonian, random_dense_state,
@@ -282,16 +278,3 @@ class TestSpectralWeights:
         total = sum(np.sum(r.probabilities) for r in records)
         assert abs(total - 1.0) <= 1e-10
 
-
-class TestRecordInterchange:
-    def test_bit_exact_roundtrip(self, rng):
-        spec = sample_couplings(10, rng)
-        line = json_17g(coupling_record(spec))
-        back = coupling_from_record(json.loads(line))
-        assert back == spec  # exact float equality
-
-    def test_record_shape(self, rng):
-        rec = coupling_record(sample_couplings(3, rng))
-        assert set(rec) == {"n", "couplings"}
-        assert rec["n"] == 3 and len(rec["couplings"]) == 2
-        json.loads(json_17g(rec))

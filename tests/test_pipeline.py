@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hamfourier.cli import main
-from hamfourier.hamiltonians import ConfigError
+from hamfourier.hamiltonians import ConfigError, sample_couplings
 from hamfourier.pipeline import (
     RIDGE_ALPHA_GRID,
     SCHEDULE_12Q,
@@ -32,7 +32,7 @@ from hamfourier.pipeline import (
     state_from_descriptor,
 )
 from hamfourier.regression import DesignMatrix, fit_ridge
-from hamfourier.rng import ROLE_VALID, substream
+from hamfourier.rng import ROLE_COUPLINGS, ROLE_VALID, substream, substreams
 
 from conftest import dense
 
@@ -135,6 +135,22 @@ class TestGenerate:
         cmd_generate(replace(SMALL, num=3, state="0101"), path)
         _, descriptor, _ = read_dataset(path)[0]
         assert descriptor == {"basis": "0101"}
+
+
+class TestRecordInterchange:
+    def test_couplings_read_back_bit_exactly(self, small_dataset):
+        # 17 significant digits round-trip every double: the specs read
+        # back equal the ones drawn from the same substreams, float for float
+        keys = ((ROLE_COUPLINGS, i) for i in range(SMALL.num))
+        drawn = [sample_couplings(SMALL.n, rng)
+                 for rng in substreams(SMALL.seed, keys)]
+        assert [spec for spec, _, _ in read_dataset(small_dataset)] == drawn
+
+    def test_record_keys(self, small_dataset):
+        lines = small_dataset.read_text().splitlines()
+        assert len(lines) == SMALL.num
+        for line in lines:
+            assert list(json.loads(line)) == ["n", "couplings", "state", "y"]
 
 
 class TestFeatureStage:
@@ -674,8 +690,8 @@ class TestCli:
          "unknown config key 'nstep_schedule'"),
         (GENERATE + ["--config", "{flag_f}"], "unknown config key 'f'"),
         (FEATURES + ["--config", "{shot}"], "unknown config key 'shot'"),
-        (TRAIN + ["--in", "{tmp}/missing.jsonl", "--features",
-                  "{tmp}/missing.csv"], "missing.csv not found"),
+        (TRAIN + ["--in", "{data}", "--features", "{tmp}/missing.csv"],
+         "No such file or directory"),
         (["features", *SIZE, "--in", "{tmp}/missing.jsonl", "--out",
           "{tmp}/f2.csv"], "No such file or directory"),
         (["generate", "--config", "{cut_json}", "--out", "{tmp}/g.jsonl"],
@@ -694,11 +710,24 @@ class TestCli:
         (TRAIN + ["--in", "{no_y}", "--features", "{feats}"],
          "no_y line 3 has no 'y' key"),
         (TRAIN + ["--in", "{data}", "--features", "{null_cell}"],
-         "null_cell line 3 is not a row of numbers as wide as the header"),
+         "null_cell line 3 is not a row of finite numbers as wide as the "
+         "header"),
         (["generate", "--n", "64", "--num", "1", "--out", "{tmp}/g.jsonl"],
          "int64 indices need n in [1, 63], got 64"),
         (["scatter", "--exact", "{empty}", "--noisy", "{empty}", "--out",
-          "{tmp}/s.csv"], "empty line 1 is not a header as wide as its rows"),
+          "{tmp}/s.csv"], "empty line 1 is not a header of column names"),
+        (TRAIN + ["--in", "{data}", "--features", "{nan_cell}"],
+         "nan_cell line 3 is not a row of finite numbers"),
+        (TRAIN + ["--in", "{data}", "--features", "{inf_cell}"],
+         "inf_cell line 3 is not a row of finite numbers"),
+        (["scatter", "--exact", "{nan_cell}", "--noisy", "{feats}", "--out",
+          "{tmp}/s.csv"], "nan_cell line 3 is not a row of finite numbers"),
+        (["scatter", "--exact", "{feats}", "--noisy", "{inf_cell}", "--out",
+          "{tmp}/s.csv"], "inf_cell line 3 is not a row of finite numbers"),
+        (TRAIN + ["--in", "{data}", "--features", "{empty}"],
+         "empty line 1 is not a header of column names"),
+        (TRAIN + ["--in", "{data}", "--features", "{digit_separator}"],
+         "digit_separator line 3 is not a row of finite numbers"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):
@@ -720,13 +749,21 @@ class TestCli:
                            ("no_couplings", records[:2] + [no_couplings]),
                            ("no_y", records[:2] + [no_y]),
                            ("null_cell", rows[:2] + ["1,null,0,1,0,1,0\n"]),
+                           ("nan_cell", rows[:2] + ["1,nan,0,1,0,1,0\n"]),
+                           ("inf_cell", rows[:2] + ["1,0,0,1,0,1,inf\n"]),
+                           ("digit_separator",
+                            rows[:2] + ["1,1_5,0,1,0,1,0\n"]),
                            ("empty", "")):
             files[name] = tmp_path / name
             files[name].write_text("".join(text))
+        before = set(tmp_path.rglob("*"))
         rc = main([arg.format(**files) for arg in argv])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: ") and message in err
+        # the error line alone (no warning before it) and no output file
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert {p for p in tmp_path.rglob("*") if p.is_file()} <= before
 
     BOUND_12 = ["bound", "--k", "11", "--f-inf", "1", "--num", "55",
                 "--delta", "0.1"]

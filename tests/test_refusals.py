@@ -172,10 +172,12 @@ SPEC, WALL = CouplingSpec(4, (0.5, -0.25, 0.25)), domain_wall(4)
     (lambda: CouplingSpec(4, (True, 0.2, 0.3)),
      "coupling must be a finite number, got True"),
     (lambda: ExperimentConfig(shots=2.5), "shots must be an int, got 2.5"),
+    (lambda: StateVector(1, [0], ["a"]), "amplitudes must be numbers"),
 ], ids=["n_shot", "fractional-step", "bool-step", "rows-fractional-step",
         "rows-bool-step", "n_step", "nan-C", "K", "seed", "sampled-n",
         "fractional-support", "support-past-int64", "nan-amplitude",
-        "coeffs", "bound-K", "bool-coupling", "config-shots"])
+        "coeffs", "bound-K", "bool-coupling", "config-shots",
+        "text-amplitude"])
 def test_python_door_refuses_a_number_of_the_wrong_kind(call, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         call()
