@@ -25,15 +25,16 @@ print("\n=== the all-zeros state is an eigenvector ===")
 (rec,) = spectral_measures([spec], basis_state(12, "0" * 12))
 lam = sum(spec.couplings)
 print("H|0...0> = lambda |0...0> with lambda =", lam)
-print(f"its spectral measure: {rec.depth} eigenvalue {rec.eigenvalues[0, 0]}"
-      f" with weight {rec.probabilities[0, 0]}")
+print(f"its spectral measure: {rec.eigenvalues.size} eigenvalue "
+      f"{rec.eigenvalues[0, 0]} with weight {rec.probabilities[0, 0]}")
 
 print("\n=== sector-block diagonalization ===")
 for magnetization in (0, 1, 6):
     # a dense record holds every eigenvalue of the state's sector
     bits = "1" * magnetization + "0" * (12 - magnetization)
     (rec,) = spectral_measures([spec], basis_state(12, bits))
-    print(f"magnetization {magnetization}: dim {rec.depth:4d}, spectrum in "
-          f"[{rec.eigenvalues.min():+.4f}, {rec.eigenvalues.max():+.4f}]")
+    evals = rec.eigenvalues
+    print(f"magnetization {magnetization}: dim {evals.size:4d}, spectrum in "
+          f"[{evals.min():+.4f}, {evals.max():+.4f}]")
 print("every eigenvalue respects the certified bound of",
       spectral_bound(spec))

@@ -1,10 +1,12 @@
 """Time evolution under a coupling spec, and the amplitude layer of the
 feature map: amplitude_rows(specs, ψ, times, schedule) = <ψ|U(t_l)|ψ> for
 a batch of specs (amplitudes: a batch of one), with U(t) = e^{-iHt}: one
-hamiltonians.spectral_sum of the phases e^{-iθt_l}, all times on one
-spectral measure of ψ per sample, or, when a schedule is given, the Strang
-circuit with schedule[l] steps (trotter_evolve: U(t)ψ for one time, the
-state on the rows its circuit swept).
+hamiltonians.spectral_sum of the phases e^{-iθt_l}, all times from one set
+of Chebyshev moments of ψ per sample, within their truncation bound (or
+the dense eigh where their rounding would pass it), or, when a schedule is
+given, the Strang circuit with schedule[l] steps
+(trotter_evolve: U(t)ψ for one time, the state on the rows its circuit
+swept).
 
 The Strang splitting groups bonds by parity of the bond index m: terms
 within H_odd (m = 1, 3, ...) act on disjoint qubit pairs and commute, same
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import (ConfigError, CouplingSpec, _count, _real, _sectors,
-                           spectral_sum)
+from .hamiltonians import (ConfigError, CouplingSpec, ExponentialSum, _count,
+                           _real, _sectors, spectral_sum)
 from .states import StateVector
 
 
@@ -87,9 +89,9 @@ def trotter_evolve(spec: CouplingSpec, v: StateVector, t: float,
 def amplitude_rows(specs, psi: StateVector, times,
                    schedule: tuple[int, ...] | None = None) -> np.ndarray:
     """A(t_l) = <psi|U(t_l)|psi>, a row per spec of a batch sharing n and a
-    column per t_l; |A| <= 1.  Without a schedule, A(t) = sum_j w_j
-    e^{-i θ_j t} from one spectral measure of psi per sample, certified on
-    all times; with one, U(t_l) is the Strang circuit with schedule[l] steps.
+    column per t_l; |A| <= 1.  Without a schedule, A(t) = <psi|e^{-iHt}|psi>
+    from one set of Chebyshev moments of psi per sample, certified on all
+    times; with one, U(t_l) is the Strang circuit with schedule[l] steps.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if schedule is not None:
@@ -104,8 +106,8 @@ def amplitude_rows(specs, psi: StateVector, times,
                                           phi[:, :len(times)])
         return out
 
-    return spectral_sum(specs, psi, lambda nodes: np.exp(
-        -1j * (times[:, None] * nodes[..., None, :])))
+    return spectral_sum(specs, psi, ExponentialSum(-1j * times,
+                                                   np.eye(len(times))))
 
 
 def amplitudes(spec: CouplingSpec, psi: StateVector, times,

@@ -11,10 +11,11 @@ the times t_l = lπ/C:
 feature_rows composes the two layers for a batch of samples sharing ψ
 (feature_vector is the batch of one):
 
-  amplitude layer  evolution.amplitude_rows: A(t_l) from one spectral
-                   measure of ψ per sample, or from the Strang circuit with
-                   schedule[l] steps when a schedule is present, after the
-                   feature map's checks (checked_amplitudes).
+  amplitude layer  evolution.amplitude_rows: A(t_l) from one set of
+                   Chebyshev moments of ψ per sample, or from the Strang
+                   circuit with schedule[l] steps when a schedule is
+                   present, after the feature map's checks
+                   (checked_amplitudes).
   noise layer      estimate: what the backend's readout measures of A.
                    With n_shot = 0 it returns A unchanged, since both
                    readouts are unbiased and their infinite-shot limit is

@@ -6,12 +6,15 @@ Bit convention (global, used by every module): qubit 0 is the most
 significant bit of a basis index, so |b0 b1 ... b_{n-1}> lives at index
 int("b0 b1 ... b_{n-1}", 2).  H conserves total magnetization (bitstring
 popcount), which lets us work on one sector block at a time instead of
-the full 2^n matrix, for a batch of specs at once (spectral_measures): by
-certified Lanczos quadrature, chunks of samples in lockstep on matrix-free
-H·V, or by stacked dense eigh per total-spin block ([H, S²] = 0).  Every
-path enters through _sectors, held to SECTOR_BYTES_CAP before any build;
-H·V and the spin blocks then look up a sector's cached pattern (basis, Z Z
-signs, bonds' flip pairs), the Strang gates read the cone's from _sectors.
+the full 2^n matrix, for a batch of specs at once (spectral_measures): a
+sum of exponentials (every feature phase and label but a step) from
+Chebyshev moments in lockstep on matrix-free H·V, its truncation bound
+fixed before the first product; a step, no integrand, or a sample whose
+moments' rounding would pass their bound, from stacked dense eigh per
+total-spin block ([H, S²] = 0).  Every path enters through
+_sectors, held to SECTOR_BYTES_CAP before any build; H·V and the spin
+blocks then look up a sector's cached pattern (basis, Z Z signs, bonds'
+flip pairs), the Strang gates read the cone's (no signs) from _sectors.
 """
 
 from __future__ import annotations
@@ -21,31 +24,22 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-#: Lanczos certificate: the depth grows by LANCZOS_STEP until the requested
-#: integrals move by at most LANCZOS_TOL·max(1, |value|) between checkpoints.
-LANCZOS_TOL = 1e-13
-LANCZOS_STEP = 8
-#: Smaller sectors are diagonalized densely.  ms per sample (one BLAS thread,
-#: K=11 features/exp label, batches of 55, median of 3 runs), dense vs
-#: Lanczos: d=70 0.37/0.33 vs 0.45/0.13; d=126 1.1/1.0 vs 0.56/0.16; d=252
-#: 3.6/3.4 vs 0.72/0.26.  Kept at 100: 2,000 n=8 samples take 0.52-0.61 s
-#: of amplitudes dense against 0.77-0.86 s Lanczos (exp labels 0.46-0.57 s
-#: against 0.19 s), and step labels are dense at any d.
-LANCZOS_MIN_DIM = 100
+#: a smooth integral takes the fewest moments whose bound is at most this
+MOMENT_TOL = 1e-13
 #: The one memory budget, checked by _sectors from counts before any
 #: sector is built: a sector's pattern plus the path's own arrays, a dense
 #: sector's spin blocks at their build's peak (n=12 at half filling: 78 MB
-#: for a 50 MB peak; n=14's is refused), a Lanczos chunk or a Strang sweep's
-#: components on ψ's cone.  A state is stored as its support (states).
+#: for a 50 MB peak; n=14's is refused), a chunk of moments or a Strang
+#: sweep's components on ψ's cone.  A state is stored as its support.
 SECTOR_BYTES_CAP = 10**9
 #: Samples go through a sector in stacks of STACK_ENTRIES // sum_S d_S² for
-#: dense eigh (22 at d=70, 248 at d=20) and of STACK_ENTRIES // 3d for
-#: Lanczos (11 at d=924: three Krylov rows each), so that a stack's arrays
-#: stay near 1 MiB: spin blocks, eigenvectors and their complex copy, or the
-#: Krylov block and its flip terms (2P = 6d entries per row at n=12).
+#: dense eigh (22 at d=70) and chunks of STACK_ENTRIES // 3d for moments (11
+#: at d=924, 156 at d=70: three rows of the recurrence each), so that their
+#: arrays stay near 1 MiB (H·V adds 2P = 6d flip terms per row at n=12).
 STACK_ENTRIES = 2**15
 
 
@@ -93,22 +87,44 @@ class CouplingSpec:
         object.__setattr__(self, "couplings", js)
 
 
+class ExponentialSum(NamedTuple):
+    """J smooth integrands g_j(θ) = sum_m weights[j, m] e^{rates[m] θ}: every
+    feature phase and every label but a step."""
+
+    rates: np.ndarray  # (M,)
+    weights: np.ndarray  # (J, M)
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Measures of a state ψ on one sector for b samples of a batch, one row
-    each: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>, arrays of shape (b, depth).
-
-    Dense records hold all eigenvalues, ascending within each total-spin
-    block and the blocks concatenated in ascending S, and p_l = |<λ_l|ψ>|²
-    (depth d, gap 0); Lanczos records (b = 1) hold Gauss nodes and weights,
-    the Krylov depth, and the last relative change of the certified
-    integrals (0: exhausted)."""
+    """The exact measure of a state ψ on one sector for b samples of a
+    batch, one row each: sum_j p_j g(λ_j) = <ψ_k|g(H)|ψ_k>, arrays of shape
+    (b, d), all eigenvalues, ascending within each total-spin block and the
+    blocks concatenated in ascending S, and p_l = |<λ_l|ψ>|²."""
 
     magnetization: int
     eigenvalues: np.ndarray = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
-    depth: int
-    gap: float
+
+
+@dataclass(frozen=True)
+class ChebyshevMoments:
+    """Moments μ_j = <ψ_k|T_j(x)|ψ_k>, j < order, of a state ψ on one sector
+    for b samples sharing a half-width h, one row each: x = (H - centre)/h
+    (0 where h = 0), centre = -sum_m J_m, h >= 2 sum_m |J_m| >= ||H - centre||;
+    coefficients a_mj of e^{ω_m h x} for the integrand's rates (shared by
+    the records of one h); bound caps the error in one sample's integral
+    of the integrand cut after order terms, rounding (b, J) estimates the
+    error of its arithmetic (spectral_sum)."""
+
+    magnetization: int
+    moments: np.ndarray = field(repr=False)
+    centre: np.ndarray = field(repr=False)
+    half_width: float
+    order: int
+    bound: float
+    coefficients: np.ndarray = field(repr=False)
+    rounding: np.ndarray = field(repr=False)
 
 
 def sample_couplings(n: int, rng: np.random.Generator) -> CouplingSpec:
@@ -134,29 +150,32 @@ def spectral_bound(spec: CouplingSpec) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _sector_pattern(n: int, magnetization: int):
-    """_pattern of a whole sector, built once per (n, magnetization)."""
+    """_pattern of a whole sector with its Z Z signs, built once per (n,
+    magnetization)."""
     return _pattern(n, np.array(sorted(
         sum(1 << (n - 1 - q) for q in ones)
         for ones in combinations(range(n), magnetization)
-    ), dtype=np.int64))
+    ), dtype=np.int64), signs=True)
 
 
-def _pattern(n: int, states):
+def _pattern(n: int, states, signs=False):
     """Coupling-independent, read-only structure of d basis states of one
     sector (ascending integers, a state's position its row): the states, the
-    Z_m Z_{m+1} sign of every bond on every state (shape (n-1, d)), the flip
-    pairs (a, b) of every bond with both ends among the states, a = |..01..>
-    and b = |..10..> on qubits m, m+1, ascending within a bond and the bonds
-    in order (shape (2, P)), and bond m's at pairs[:, cut[m]:cut[m+1]]."""
+    Z_m Z_{m+1} sign of every bond on every state (shape (n-1, d); None
+    unless signs, as only H·V reads them), the flip pairs (a, b) of every
+    bond with both ends among the states, a = |..01..> and b = |..10..> on
+    qubits m, m+1, ascending within a bond and the bonds in order (shape
+    (2, P)), and bond m's at pairs[:, cut[m]:cut[m+1]]."""
     bits = (states >> (n - 1 - np.arange(n))[:, None]) & 1  # bits[q] = qubit q
-    signs = np.where(bits[:-1] != bits[1:], -1.0, 1.0)
+    signs = np.where(bits[:-1] != bits[1:], -1.0, 1.0) if signs else None
     bonds, a = np.nonzero(bits[:-1] < bits[1:])  # |01> on qubits m, m+1
     b = np.searchsorted(states, flipped := states[a] ^ (3 << (n - 2 - bonds)))
     keep = states[b % len(states)] == flipped  # b among the states too
     pairs, cut = np.stack([a, b])[:, keep], np.searchsorted(bonds[keep],
                                                             np.arange(n))
     for arr in (states, signs, pairs, cut):
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return states, signs, pairs, cut
 
 
@@ -176,15 +195,15 @@ def _cone(n: int, states, layers, fits):
     return states
 
 
-def _sector_operator(couplings, magnetization: int):
+def _sector_operator(couplings, magnetization: int, shift=0.0):
     """X -> H·X on one sector block, matrix-free, row b of X (B, d) under
     couplings[b] (B, n-1): per bond, Z Z adds ±J_m on the diagonal (+ for
     equal bits) and X X + Y Y swaps each flip pair with amplitude 2 J_m, all
-    bonds and rows in one bincount at flat index b·d + row."""
+    bonds and rows in one bincount at flat index b·d + row; plus shift[b]."""
     j = np.asarray(couplings, dtype=float)
     _, signs, pairs, cut = _sector_pattern(j.shape[1] + 1, magnetization)
     diag = sum((j[:, m, None] * signs[m] for m in range(1, len(signs))),
-               j[:, 0, None] * signs[0])  # bond by bond: (B, d) at a time
+               j[:, 0, None] * signs[0] + np.reshape(shift, (-1, 1)))
     # bond by bond, its a's then its b's: each row's terms stay in bond
     # order, and each half reads and writes ascending indices
     bonds = [pairs[:, lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
@@ -216,19 +235,19 @@ def _bond_pairs(n: int, k: int) -> int:
 def _sector_bytes(n: int, k: int, d: int | None = None) -> int:
     """Bytes of _sector_pattern(n, k) from counts: 8 per state and Z Z sign,
     16 per flip pair, _bond_pairs per bond, 8 per bond offset; of a cone of
-    d < C(n, k) of its states, each the a end of at most min(k, n-k) pairs."""
-    d, pairs = d or math.comb(n, k), (n - 1) * _bond_pairs(n, k)
-    pairs = pairs if d == math.comb(n, k) else d * min(k, n - k)
-    return 8 * n * d + 16 * pairs + 8 * n
+    d < C(n, k) of its states, 8 per state (no signs), each the a end of at
+    most min(k, n-k) pairs."""
+    if (d := d or math.comb(n, k)) < math.comb(n, k):
+        return 8 * d * (1 + 2 * min(k, n - k)) + 8 * n
+    return 8 * n * d + 16 * (n - 1) * _bond_pairs(n, k) + 8 * n
 
 
-def _lanczos_bytes(n: int, k: int, b: int) -> int:
-    """Bytes of a Lanczos chunk of b samples on sector k at its peak, as
-    samples retire (H·V's 2P flip terms take less): per sample three complex
-    Krylov rows, compacted copies of two, and the old and new operators'
-    Z Z diagonals and 2P row indexes; per chunk their 2P columns and more."""
+def _moment_bytes(n: int, k: int, b: int, order: int) -> int:
+    """Peak bytes of b samples' moments on sector k: per sample 3 complex
+    rows, H·V's diagonal, partial products, 2P row indexes and flip terms,
+    and order moments; per chunk H·V's 2P columns and their copy."""
     d, pairs = math.comb(n, k), (n - 1) * _bond_pairs(n, k)
-    return b * (96 * d + 32 * pairs) + 48 * pairs
+    return b * (96 * d + 32 * pairs + 8 * order) + 32 * pairs
 
 
 def _sectors(specs, v, extra_bytes, layers=()):
@@ -293,23 +312,25 @@ def _spin_blocks(n: int, magnetization: int):
 def spectral_measures(specs, v, integrand=None):
     """Measures of a state v under a batch of specs sharing n: yields the
     records of ψ's occupied sectors in ascending order, each sector's
-    records covering the batch in order.  Sectors below LANCZOS_MIN_DIM (all
-    when integrand is None) are exact: stacked eigh per spin block.  The rest
-    get certified Gauss quadrature, chunks of samples in lockstep: Lanczos
-    from the component c gives each a depth-m tridiagonal T whose eigenpairs
-    (θ_j, u_j) are the nodes and weights ||c||²·u_j[0]², exact to degree
-    2m-1 (Golub & Meurant, 2010), deep enough that the integrals settle of
-    integrand(θ), which maps nodes (..., m) to values (..., [J,] m)."""
+    records covering the batch in order: without an integrand exact
+    SpectralMeasures, by stacked eigh per spin block; for an ExponentialSum
+    ChebyshevMoments of runs of samples sharing a half-width, in chunks."""
     n = specs[0].n
+    # 2 sum_m |J_m| (bond terms J P_m have eigenvalues J and -3J), rounded up
+    # past 1e-6 to a multiple of 2^-16: a normalized batch shares one width
+    widths = np.ceil(np.array([sum(map(abs, s.couplings)) for s in specs])
+                     * (2 + 2e-6) * 65536) / 65536
+    plans = {} if integrand is None else {
+        h: _expansion(integrand, h) for h in set(widths.tolist())}
+    depth = max((plan[0] for plan in plans.values()), default=1)
 
-    def chunk(k):  # samples per Lanczos chunk, 0 on the dense path
-        dim = math.comb(n, k)
-        return 0 if integrand is None or dim < LANCZOS_MIN_DIM else min(
-            len(specs), max(1, STACK_ENTRIES // (3 * dim)))
+    def chunk(k):  # samples per chunk of moments
+        return min(len(specs), max(1, STACK_ENTRIES // (3 * math.comb(n, k))))
 
-    def extra_bytes(k, d):  # a Lanczos chunk, or the spin blocks' build
-        if size := chunk(k):
-            return _lanczos_bytes(n, k, size), "pattern and Lanczos chunk"
+    def extra_bytes(k, d):  # a chunk of moments, or the spin blocks' build
+        if integrand is not None:
+            return (_moment_bytes(n, k, chunk(k), depth),
+                    "pattern and moment chunk")
         dims = [math.comb(n, t) - (t and math.comb(n, t - 1))  # d_S, S = n/2-t
                 for t in range(min(k, n - k) + 1)]
         # every Q_S and bond operator, S², eigh's copy and workspace (3d²),
@@ -320,10 +341,19 @@ def spectral_measures(specs, v, integrand=None):
     sectors = _sectors(specs, v, extra_bytes)  # checks specs share n
     couplings = np.array([spec.couplings for spec in specs])
     for k, _, comp in sectors:
-        if size := chunk(k):
-            for start in range(0, len(specs), size):
-                yield from _lanczos(couplings[start:start + size], k, comp,
-                                    integrand)
+        if integrand is not None:
+            weight = float(np.vdot(comp, comp).real)
+            edges = sorted({*range(0, len(specs), chunk(k)), len(specs),
+                            *(np.flatnonzero(np.diff(widths)) + 1).tolist()})
+            for a, b in zip(edges, edges[1:]):
+                order, bound, table, growth = plans[h := widths[a]]
+                centre = -couplings[a:b].sum(axis=1)
+                rounding = np.exp(np.outer(centre, integrand.rates.real)) * (
+                    np.finfo(float).eps * weight * growth)
+                yield ChebyshevMoments(
+                    k, _moments(couplings[a:b], k, comp, h, order), centre,
+                    float(h), order, weight * bound, table,
+                    rounding @ np.abs(integrand.weights).T)
             continue
         blocks = [(q_s.T @ comp, b) for q_s, b in _spin_blocks(n, k)]
         size = max(1, STACK_ENTRIES // sum(b[0].size for _, b in blocks))
@@ -334,82 +364,133 @@ def spectral_measures(specs, v, integrand=None):
             probs = [np.abs(u.transpose(0, 2, 1) @ x) ** 2  # real u
                      for (_, u), (x, _) in zip(eigs, blocks)]
             yield SpectralMeasure(k, np.hstack([lam for lam, _ in eigs]),
-                                  np.hstack(probs), len(comp), 0.0)
+                                  np.hstack(probs))
 
 
-def _integral(integrand, nodes, weights):
-    """sum_j w_j g(θ_j) per row of (b, m) nodes θ and weights w, g the
-    integrand, for spectral_sum's records and _lanczos's certificate alike:
-    a matrix-vector product per sample for (b, J, m) values, else a sum."""
-    values = integrand(nodes)
-    if values.ndim > weights.ndim:  # a block of J integrands
-        return (values @ weights[..., None])[..., 0]
-    return np.sum(weights * values, axis=-1)
+def _truncation(integrand: ExponentialSum, h: float):
+    """(N, bound): the fewest moments N, odd, whose bound for a unit state at
+    half-width h, max_j sum_m |w_jm| e^{|Re ω_m| h/2} t_m (>= |e^{ω_m c}|),
+    is at most MOMENT_TOL (else the last candidate); t_m = 4 sum_{j>=N}
+    |I_j(ω_m h)| covers the cut coefficients 2 I_j of e^{ω_m h x} and their
+    aliases in the 2N-point interpolant, with |I_j(z)| <= (|z|/2)^j
+    e^{|z|²/(4(j+1))}/j!, no exponential for imaginary z (|J_j|, Abramowitz
+    & Stegun 9.1.62; Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984)."""
+    tau = np.abs(integrand.rates)[:, None] * h
+    n = np.arange(1, 2 * math.ceil(tau.max(initial=0)) + 66, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = 4 * np.exp(n * np.log(tau / 2) - np.cumsum(np.log(np.arange(
+            1, n[-1] + 1)))[n - 1] - np.log1p(-tau / (2 * n + 2)) + (
+                integrand.rates.real != 0)[:, None] * tau * tau / (4 * n + 4))
+        bounds = (np.abs(integrand.weights) * np.exp(np.abs(
+            integrand.rates.real) * h / 2) @ np.where(
+                tau < 2 * n + 2, t, np.inf)).max(axis=0, initial=0.0)
+    fits = bounds <= MOMENT_TOL  # nan (0·inf) where the series diverges
+    at = np.argmax(fits) if fits.any() else -1
+    return int(n[at]), float(bounds[at])
 
 
-def spectral_sum(specs, v, integrand, dense=False) -> np.ndarray:
-    """<ψ|g(H)|ψ> for every sample of the batch, g = integrand (as in
-    spectral_measures) summed over occupied sectors; dense puts every sector
-    on the exact path (steps, where quadrature does not converge)."""
-    parts = {}  # ascending sectors, each one's records in batch order
-    for rec in spectral_measures(specs, v, None if dense else integrand):
-        parts.setdefault(rec.magnetization, []).append(
-            _integral(integrand, rec.eigenvalues, rec.probabilities))
-    # from 0, sector by sector: one running total's rounding
-    return sum(np.concatenate(part) for part in parts.values())
+def _moments(couplings, k: int, comp: np.ndarray, h: float, order: int):
+    """μ_j = <c|T_j(x)|c>, j < order (odd), x = (H - centre)/h, of the
+    sector-k component c per row of couplings (B, n-1), in lockstep on a
+    (B, d) block, real for a real c: v_p+1 = 2x·v_p - v_p-1, v_1 = x·c,
+    μ_2p = 2<v_p|v_p> - μ_0, μ_2p-1 = 2<v_p-1|v_p> - μ_1 (Weiße et al., Rev.
+    Mod. Phys. 78, 275, 2006); a row's arithmetic does not depend on B."""
+    j = np.asarray(couplings) * (2.0 / h if h else 0.0)  # x = 0 where H = 0
+    two_x = _sector_operator(j, k, shift=j.sum(axis=1))  # 2(H - centre)/h
+    v = np.repeat((comp if np.any(comp.imag) else comp.real)[None], len(j), 0)
+    mu, prev = np.empty((len(j), order)), None
+    mu[:, 0] = np.vecdot(v, v).real
+    for p in range(1, order // 2 + 1):
+        w = two_x(v)
+        if prev is None:
+            w /= 2.0
+        else:
+            w -= prev
+        odd = np.vecdot(v, w).real
+        mu[:, 2 * p - 1] = odd if prev is None else 2.0 * odd - mu[:, 1]
+        mu[:, 2 * p] = 2.0 * np.vecdot(w, w).real - mu[:, 0]
+        prev, v = v, w
+    return mu
 
 
-def _lanczos(couplings, k: int, comp: np.ndarray, integrand):
-    """Certified Lanczos records of the sector-k component comp, one per row
-    of couplings (B, n-1), in order.  The rows run in lockstep on a (B, d)
-    block by the three-term recurrence, whose Gauss quadrature stays
-    accurate in finite precision without reorthogonalization (Greenbaum,
-    Lin. Alg. Appl. 113, 7, 1989); each row's dots run along its own
-    contiguous row, so its arithmetic does not depend on B.  A row retires
-    at the first checkpoint (every LANCZOS_STEP steps) where its integrals
-    settle, or as soon as its Krylov space is exhausted (gap 0)."""
-    d, records = len(comp), [None] * len(couplings)
-    comp = comp.real if not np.any(comp.imag) else comp
-    weight = float(np.vdot(comp, comp).real)
-    live = np.arange(len(couplings))  # the batch rows still running
-    v = np.repeat(comp[None] / math.sqrt(weight), len(live), axis=0)
-    v_prev, beta, steps, prev = np.zeros_like(v), np.zeros(len(v)), [], np.inf
-    breakdown = 1e-12 * (3.0 * np.abs(couplings).sum(axis=1))  # spectral_bound
-    apply = _sector_operator(couplings, k)
-    while True:
-        w = apply(v)
-        v_prev *= beta[:, None]  # in place: a chunk's block is large
-        w -= v_prev
-        alpha = np.vecdot(v, w, axis=1).real  # one dot per row
-        w -= alpha[:, None] * v
-        beta = np.sqrt(np.vecdot(w, w, axis=1).real)
-        steps.append(np.array([alpha, beta]))
-        m, checkpoint = len(steps), len(steps) % LANCZOS_STEP == 0
-        # gap 0: the Krylov space is exhausted and the quadrature exact
-        gaps = np.where((beta <= breakdown[live]) | (m == d), 0.0, np.inf)
-        if checkpoint or not gaps.all():
-            a, b = np.stack(steps, axis=2)[:, :, None]  # each row's T:
-            t = np.eye(m) * a + np.eye(m, k=-1) * b  # eigh reads lower half
-            nodes, u = np.linalg.eigh(t)
-            weights = weight * u[:, 0] ** 2
-            if checkpoint:
-                value = _integral(integrand, nodes, weights)
-                change = np.abs(value - prev) / np.maximum(1.0, np.abs(value))
-                gaps = np.minimum(gaps, change.reshape(len(live), -1).max(1))
-                prev = value
-            done = gaps <= LANCZOS_TOL
-            for row, x, p, gap in zip(live[done], nodes[done], weights[done],
-                                      gaps[done]):
-                records[row] = SpectralMeasure(k, x[None], p[None], m,
-                                               float(gap))
-            if done.all():
-                return records
-            if done.any():  # the rest go on without them
-                keep = ~done
-                live, v, w, beta = live[keep], v[keep], w[keep], beta[keep]
-                steps = [step[:, keep] for step in steps]
-                prev = prev if np.isscalar(prev) else prev[keep]
-                apply = _sector_operator(couplings[live], k)
-        w /= beta[:, None]
-        v_prev, v = v, w
+def _expansion(integrand: ExponentialSum, h: float):
+    """(N, bound, a_mj, growth_m) at half-width h: _truncation's N and
+    bound, the coefficients a_mj, j < N, of e^{ω_m h x} = sum_j a_mj T_j(x)
+    interpolated at cos θ_p, θ_p = π(p + 1/2)/2N, p < 2N, and the rounding
+    growth sum_j |a_mj| times N for a real rate, whose coefficients keep
+    one sign pattern and so round alike, and √N for an imaginary one, whose
+    turn by i^j (the largest errors seen, against the dense eigh at n <= 12:
+    1.4 and 1.0 times these)."""
+    order, bound = _truncation(integrand, h)
+    theta = np.pi * (np.arange(2 * order) + 0.5) / (2 * order)
+    table = np.exp(np.outer(integrand.rates * h, np.cos(theta))) @ np.cos(
+        np.outer(theta, np.arange(order))) / order
+    table[:, 0] /= 2
+    return order, bound, table, np.abs(table).sum(axis=1) * np.where(
+        integrand.rates.real != 0, order, math.sqrt(order))
 
+
+def _integral(rec: ChebyshevMoments, integrand: ExponentialSum):
+    """sum_m w_jm e^{ω_m·centre} sum_j a_mj μ_j per sample of a record,
+    (b, J), cut at its order; per sample, as one GEMM for the record would
+    round by its size."""
+    terms = (rec.coefficients @ rec.moments[..., None])[..., 0]
+    terms *= np.exp(np.outer(rec.centre, integrand.rates))
+    return (integrand.weights @ terms[..., None])[..., 0]
+
+
+def _over_sectors(parts):
+    """Sum (magnetization, rows) pairs over sectors, each sector's rows in
+    batch order; from 0, sector by sector: one running total's rounding."""
+    rows = {}
+    for k, part in parts:
+        rows.setdefault(k, []).append(part)
+    return sum(np.concatenate(part) for part in rows.values())
+
+
+def _dense_sum(specs, v, g):
+    """(sum_l p_l g(λ_l) per sample over the dense records, g mapping
+    eigenvalues (b, d) to (b, ..., d); its leak): a rounding of about eps
+    in each of the d components of ψ_k leaks about eps² d μ_0 onto every
+    eigenvalue, which moves the sum by up to that times max_l |g(λ_l)|."""
+    parts, leaks = [], []
+    for rec in spectral_measures(specs, v):
+        values = g(rec.eigenvalues)
+        p = rec.probabilities.reshape(len(values), *(1,) * (values.ndim - 2),
+                                      -1)
+        parts.append((rec.magnetization, np.sum(p * values, axis=-1)))
+        leaks.append((rec.magnetization, np.sum(p, axis=-1) * np.max(
+            np.abs(values), axis=-1) * np.finfo(float).eps ** 2 * p.shape[-1]))
+    return _over_sectors(parts), _over_sectors(leaks)
+
+
+def spectral_sum(specs, v, integrand) -> np.ndarray:
+    """<ψ|g(H)|ψ> per sample, summed over occupied sectors: an ExponentialSum
+    (B, J) as sum_m w_jm e^{ω_m·centre} sum_j a_mj μ_j, or over the dense
+    records for a sample whose rounding estimate passes MOMENT_TOL·max(1,
+    |value|) (an exp of large β·h, whose terms cancel), refused where those
+    do not fit or leak past it too; any other g (a step; (B,)) as
+    sum_l p_l g(λ_l)."""
+    if not isinstance(integrand, ExponentialSum):
+        return _dense_sum(specs, v, integrand)[0]
+    parts = [(rec.magnetization, rec.rounding, _integral(rec, integrand))
+             for rec in spectral_measures(specs, v, integrand)]
+    value = _over_sectors((k, y) for k, _, y in parts)
+    rounding = _over_sectors((k, r) for k, r, _ in parts)
+    lost = np.flatnonzero(np.any(rounding > MOMENT_TOL * np.maximum(
+        1.0, np.abs(value)), axis=-1))
+    if not lost.size:
+        return value
+    what = (f"{lost.size} sample(s) lose digits to rounding in Chebyshev "
+            f"moments (estimate {np.max(rounding[lost]):.1e})")
+    try:
+        value[lost], leak = _dense_sum(
+            [specs[b] for b in lost], v, lambda lam: integrand.weights
+            @ np.exp(integrand.rates[:, None] * lam[:, None]))
+    except ConfigError as err:
+        raise ConfigError(f"{what}, and their dense path does not fit: "
+                          f"{err}") from err
+    if np.any(leak > MOMENT_TOL * np.maximum(1.0, np.abs(value[lost]))):
+        raise ConfigError(f"{what}, and in the dense path a rounding of ψ "
+                          f"moves them by up to {np.max(leak):.1e}")
+    return value

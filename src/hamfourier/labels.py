@@ -1,10 +1,10 @@
 """Target functions f and exact labels y = Tr[f(H)ρ].
 
-Labels integrate f against the spectral measure of ψ: y = sum_j w_j f(θ_j),
-for a batch of specs at once (label_rows: one hamiltonians.spectral_sum
-with f as its integrand).  A smooth f uses the measure certified on y (as
-the exact features do); a step, where Gauss quadrature does not converge,
-the dense sector eigh in every sector.
+Labels integrate f against the spectral measure of ψ, for a batch of specs
+at once (label_rows: one hamiltonians.spectral_sum): a smooth f as a sum
+of exponentials from Chebyshev moments, as the exact features are (over the
+dense sector eigh where their rounding would pass the tolerance: an exp of
+large β), and a step, which no expansion resolves, over the dense eigh.
 
 Sign convention: the sine-type basis functions carry a minus sign,
 matching the feature quadratures (x_sin,l = Im Tr[e^{-ilπH/C}ρ]
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import ConfigError, _real, spectral_sum
+from .hamiltonians import (ConfigError, ExponentialSum, _real, spectral_bound,
+                           spectral_sum)
 from .states import StateVector
 
 KINDS = ("exp", "cos", "sin", "fourier", "step")
@@ -95,24 +96,35 @@ class FunctionSpec:
                 f"argument outside [-{self.C}, {self.C}]: "
                 f"max |x| = {np.max(np.abs(arr))}"
             )
-        if self.kind == "exp":
-            out = np.exp(-self.param * arr)
-        elif self.kind == "cos":
-            out = np.cos(self.param * arr)
-        elif self.kind == "sin":
-            out = -np.sin(self.param * arr)
-        elif self.kind == "step":
+        if self.kind == "step":
             out = (arr >= self.param).astype(float)
-        else:  # columns 1, -sin(lπx/C), cos(lπx/C) for l = 1, 2, ...
-            cols = [np.ones_like(arr)]
-            for l in range(1, len(self.coeffs) // 2 + 1):
-                cols.append(-np.sin(l * np.pi * arr / self.C))
-                cols.append(np.cos(l * np.pi * arr / self.C))
-            out = np.stack(cols, axis=-1) @ np.asarray(self.coeffs)
+        else:
+            rates, weights = self.exponentials()
+            out = (np.exp(np.multiply.outer(arr, rates)) @ weights[0]).real
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+    def exponentials(self) -> ExponentialSum:
+        """f = Re sum_m w_m e^{ω_m x} (not a step): cos is Re e^{i param·x},
+        sin Re i·e^{i param·x}, and a fourier pair c_sin·(-sin(lπx/C)) +
+        c_cos·cos(lπx/C) is Re (c_cos + i c_sin)·e^{ilπx/C}."""
+        if self.kind == "fourier":
+            c = np.asarray(self.coeffs)
+            rates = 1j * np.pi * np.arange(len(c) // 2 + 1) / self.C
+            weights = np.concatenate([c[:1], c[2::2] + 1j * c[1::2]])
+        else:
+            rates = [-self.param if self.kind == "exp" else 1j * self.param]
+            weights = [1j if self.kind == "sin" else 1.0]
+        return ExponentialSum(np.asarray(rates, dtype=complex),
+                              np.asarray(weights, dtype=complex)[None])
 
 
 def label_rows(specs, psi: StateVector, fspec: FunctionSpec) -> np.ndarray:
-    """y = Tr[f(H)ρ] = sum_j w_j f(θ_j) for every spec of a batch sharing n;
-    |y| <= sup_norm."""
-    return spectral_sum(specs, psi, fspec, dense=fspec.kind == "step")
+    """y = Tr[f(H)ρ] for every spec of a batch sharing n; |y| <= sup_norm,
+    as C >= each spec's spectral bound."""
+    bound = max(map(spectral_bound, specs))
+    if fspec.C < bound * (1.0 - 1e-9):
+        raise ConfigError(f"C = {fspec.C} is below the spectral bound {bound}"
+                          f"; f would be evaluated outside [-C, C]")
+    if fspec.kind == "step":
+        return spectral_sum(specs, psi, fspec)
+    return spectral_sum(specs, psi, fspec.exponentials())[:, 0].real

@@ -263,14 +263,14 @@ def cmd_features(config: ExperimentConfig, dataset_path, out_path) -> Path:
     return out_path
 
 
-def read_features(path) -> np.ndarray:
-    """The rows under a nonempty header, each line converted once; the first
-    that is not a row of finite numbers as wide as the header is refused
-    with its number."""
-    header, *lines = Path(path).read_text().splitlines() or [""]
-    if not header:
+def read_features(path):
+    """(the header's column names, the rows under it), each line converted
+    once; an empty header, or the first line that is not a row of finite
+    numbers as wide as the header, is refused with its number."""
+    names, *lines = Path(path).read_text().splitlines() or [""]
+    if not names:
         raise ConfigError(f"{path} line 1 is not a header of column names")
-    width = header.count(",") + 1
+    width = names.count(",") + 1
     rows = [(number, line) for number, line in enumerate(lines, 2)
             if line.strip()]
     x = np.empty((len(rows), width))
@@ -283,7 +283,7 @@ def read_features(path) -> np.ndarray:
             raise ConfigError(f"{path} line {number} is not a row of finite "
                               f"numbers as wide as the header: {line!r}")
         x[i] = row
-    return x
+    return names.split(","), x
 
 
 # --- training stage ------------------------------------------------------
@@ -327,7 +327,7 @@ def cmd_train_eval(config: ExperimentConfig, features_path, dataset_path,
                    model_out, metrics_out) -> Metrics:
     """Fit on the seeded split, evaluate on the held-out rows, write the
     model and metrics JSON files."""
-    x = read_features(features_path)
+    _, x = read_features(features_path)
     y = np.array([rec[2] for rec in read_dataset(dataset_path)])
     if x.shape[0] != len(y):
         raise ConfigError(
@@ -348,13 +348,12 @@ def cmd_train_eval(config: ExperimentConfig, features_path, dataset_path,
 def cmd_scatter(exact_path, noisy_path, out_path) -> Path:
     """Pair two same-shape CSV files cell-by-cell into a long-format CSV
     (column, row, exact, estimated) for external plotting."""
-    exact = read_features(exact_path)
-    noisy = read_features(noisy_path)
+    header, exact = read_features(exact_path)
+    _, noisy = read_features(noisy_path)
     if exact.shape != noisy.shape:
         raise ConfigError(
             f"shape mismatch: {exact.shape} vs {noisy.shape}"
         )
-    header = Path(exact_path).read_text().partition("\n")[0].split(",")
     lines = ["column,row,exact,estimated"]
     for i in range(exact.shape[0]):
         for j in range(exact.shape[1]):
@@ -425,7 +424,7 @@ def cmd_reproduce(row: str, out_dir, seed: int | None = None) -> dict:
     if row in _LARGE_ROWS:
         raise ConfigError(
             f"row {row!r} is not a desk-scale target: its exact labels need "
-            f"Lanczos on a 32- or 40-qubit half-filling sector (C(32,16) ~ "
+            f"moments on a 32- or 40-qubit half-filling sector (C(32,16) ~ "
             f"6.0e8 states) over the sector memory budget, and no MPS or QPU "
             f"backend exists. Supported rows: {sorted(REPRODUCE_ROWS)}"
         )

@@ -1,16 +1,17 @@
 """Batched layers against their batch of one, bit for bit.
 
 feature_rows, label_rows and amplitude_rows take a batch of specs; the
-single-sample calls are batches of one.  Dense sectors are diagonalized
-per total-spin block, in stacks of samples whose blocks hold at most
-hamiltonians.STACK_ENTRIES entries, so batches just below,
-at and above a stack boundary must give every row exactly as the sample
-alone does, across n = 4, 6, 8 (dense stacks) and n = 10 (Lanczos beside
-stacks), states on several sectors with phases ±1 and ±i, every backend
-with and without a schedule, and step, exp and fourier labels.  Lanczos
-sectors run chunks of hamiltonians.STACK_ENTRIES // 3d samples in lockstep,
-so n = 12 checks batches just below, at and above the real chunk, with a
-row that retires early."""
+single-sample calls are batches of one.  Features and smooth labels run
+chunks of hamiltonians.STACK_ENTRIES // 3d samples in lockstep through
+their Chebyshev moments; step labels are diagonalized per total-spin
+block, in stacks of samples whose blocks hold at most STACK_ENTRIES
+entries.  So batches just below, at and above a chunk or stack boundary
+must give every row exactly as the sample alone does, across n = 4..10,
+states on several sectors with phases ±1 and ±i, every backend with and
+without a schedule, and step, exp and fourier labels; n = 12 checks the
+real chunks, with a chain of zero couplings, whose half-width 0 splits its
+chunk, and one coupled on bond 0 alone.  test_lanczos_chunk_boundaries
+keeps the name of the Lanczos test it replaced."""
 
 import math
 
@@ -36,9 +37,9 @@ def batch_sizes(stack):
 
 
 def mixed_states(n, rng):
-    """States on two sectors, none touching |0...0>, with phases ±1, ±i;
-    at n = 10 the first two put a Lanczos sector beside a dense one, the
-    third is Lanczos only and the last dense only."""
+    """States on two sectors, none touching |0...0>, with phases ±1, ±i:
+    a half-filled or nearly half-filled sector beside a small one, two
+    large ones, and two small ones."""
     wall = basis_state(n, "1" * (n // 2) + "0" * (n - n // 2))
     single = basis_state(n, "0" * (n - 1) + "1")
     return {
@@ -57,15 +58,22 @@ def spin_entries(n, k):
     return sum(d * d for d in spin_dims(n, k))
 
 
+def sectors(psi):
+    return {int(i).bit_count() for i in psi.support}
+
+
+def chunk_entries(n, psi):
+    """STACK_ENTRIES per sample of the largest chunk of moments: 3d."""
+    return max(3 * math.comb(n, k) for k in sectors(psi))
+
+
 def largest_dense_entries(n, psi):
-    return max((spin_entries(n, k)
-                for k in {int(i).bit_count() for i in psi.support}
-                if math.comb(n, k) < hm.LANCZOS_MIN_DIM), default=1)
+    return max(spin_entries(n, k) for k in sectors(psi))
 
 
 @pytest.fixture
 def small_stacks(monkeypatch):
-    """Stacks of STACK samples for a sector with the given spin-block
+    """Chunks or stacks of STACK samples for a sector with the given
     entries per sample."""
     def set_entries(entries):
         monkeypatch.setattr(hm, "STACK_ENTRIES", STACK * entries)
@@ -85,7 +93,7 @@ CONFIGS = {  # every backend with and without a schedule
 def test_feature_rows_equal_single_samples(n, rng, small_stacks):
     specs = [random_spec(n, rng) for _ in range(2 * STACK + 3)]
     for name, psi in mixed_states(n, rng).items():
-        small_stacks(largest_dense_entries(n, psi))
+        small_stacks(chunk_entries(n, psi))
         singles = {key: np.array([feature_vector(s, psi, cfg, b + 40)
                                   for b, s in enumerate(specs)])
                    for key, cfg in CONFIGS.items()}
@@ -103,11 +111,12 @@ def test_label_rows_equal_single_samples(n, rng, small_stacks):
     coeffs = rng.normal(size=2 * K + 1)
     targets = [FunctionSpec("exp", C, 1.0), FunctionSpec(
         "fourier", C, coeffs=coeffs / np.linalg.norm(coeffs))]
-    if n < 10:  # a step is dense in every sector; n = 10 adds Lanczos ones
+    if n < 10:  # a step is dense in every sector
         targets.append(FunctionSpec("step", C, 0.1))
     for name, psi in mixed_states(n, rng).items():
-        small_stacks(largest_dense_entries(n, psi))
         for fspec in targets:
+            small_stacks(largest_dense_entries(n, psi) if fspec.kind == "step"
+                         else chunk_entries(n, psi))
             singles = np.array([label_rows([s], psi, fspec)[0] for s in specs])
             for size in batch_sizes(STACK):
                 np.testing.assert_array_equal(
@@ -116,8 +125,9 @@ def test_label_rows_equal_single_samples(n, rng, small_stacks):
 
 
 def test_default_stack_boundaries(rng):
-    # the real constant at n = 8: the half-filled sector (d = 70, spin
-    # blocks 14/28/20/7/1) stacks 22 samples, the k = 3 one (28/20/7/1) 26
+    # the real constant at n = 8 for step labels: the half-filled sector
+    # (d = 70, spin blocks 14/28/20/7/1) stacks 22 samples, the k = 3 one
+    # (28/20/7/1) 26; the features' moments run in chunks of 156 and 192
     psi = superpose(domain_wall(8), basis_state(8, "00000111"), 1j)
     cfg = FeatureMapConfig(K=K, C=C, backend="hadamard-shots", n_shot=20,
                            seed=2)
@@ -139,14 +149,15 @@ def test_default_stack_boundaries(rng):
 def test_lanczos_chunk_boundaries(phase, rng):
     # the real constant at n = 12 runs the half-filled sector (d = 924) in
     # chunks of 11 samples and the k = 5 one (d = 792), imaginary in the ±i
-    # states, in chunks of 13.  A chain coupled on bond 0 alone keeps both
-    # basis components eigenvectors (bits 11 and 00 on qubits 0, 1), so its
-    # row exhausts its Krylov space at depth 1 while the rest of its chunk
-    # runs on
+    # states, in chunks of 13.  A chain of zero couplings has half-width 0,
+    # so it runs alone on one moment; a chain coupled on bond 0 alone keeps
+    # both basis components eigenvectors (bits 11 and 00 on qubits 0, 1)
+    # and runs in its chunk
     chunk = hm.STACK_ENTRIES // (3 * math.comb(12, 6))
     assert chunk == 11
     specs = [random_spec(12, rng) for _ in range(2 * chunk + 3)]
-    specs[1] = specs[chunk] = hm.CouplingSpec(12, (1.0,) + (0.0,) * 10)
+    specs[1] = specs[chunk + 1] = hm.CouplingSpec(12, (0.0,) * 11)
+    specs[2] = specs[chunk] = hm.CouplingSpec(12, (1.0,) + (0.0,) * 10)
     wall = domain_wall(12)
     psi = wall if phase is None else superpose(
         wall, basis_state(12, "0" * 7 + "1" * 5), phase)
@@ -159,14 +170,15 @@ def test_lanczos_chunk_boundaries(phase, rng):
                                       singles[:size], err_msg=f"B={size}")
         np.testing.assert_array_equal(label_rows(specs[:size], psi, exp),
                                       labels[:size], err_msg=f"B={size}")
-    depths = [rec.depth for rec in hm.spectral_measures(specs[:3], psi, exp)]
-    assert depths[1] == 1 < min(depths[0], depths[2])
+    records = hm.spectral_measures(specs[:3], psi, exp.exponentials())
+    runs = [(len(rec.centre), rec.order) for rec in records]
+    assert runs[:3] == [(1, runs[0][1]), (1, 1), (1, runs[0][1])]
+    assert runs[0][1] > 1
 
 
 def test_deep_quadrature_matches_dense_oracle(rng):
-    # K = 60 puts t up to 20π: the records go 72-80 deep, past converged
-    # Ritz values, where the three-term recurrence loses orthogonality; the
-    # Gauss quadrature must still match the oracle
+    # K = 60 puts t up to 20π, so the features take 199 moments (99
+    # products of H), each within its bound
     times = np.arange(61) * np.pi / C
     specs = [random_spec(12, rng) for _ in range(3)]
     psi = domain_wall(12)
@@ -177,15 +189,13 @@ def test_deep_quadrature_matches_dense_oracle(rng):
     for b, measure in enumerate(dense):
         oracle = sum(np.exp(-1j * np.outer(times, evals)) @ p
                      for evals, p in measure)
-        assert np.max(np.abs(rows[b] - oracle)) <= 1e-12
+        assert np.max(np.abs(rows[b] - oracle)) <= 1e-13
         for fspec, y in zip(targets, ys):
             y_dense = sum(np.sum(p * fspec(evals)) for evals, p in measure)
-            assert abs(y[b] - y_dense) <= 1e-12
-    def phases(nodes):
-        return np.exp(-1j * times[:, None] * nodes[..., None, :])
-
-    records = hm.spectral_measures(specs, psi, phases)
-    assert max(rec.depth for rec in records) > 64
+            assert abs(y[b] - y_dense) <= 1e-13
+    phases = hm.ExponentialSum(-1j * times, np.eye(len(times)))
+    (rec,) = hm.spectral_measures(specs, psi, phases)
+    assert rec.order == 199 and rec.bound <= hm.MOMENT_TOL
 
 
 @pytest.mark.parametrize("n", [6, 10])
@@ -198,7 +208,7 @@ def test_batch_matches_dense_oracle(n, rng, small_stacks):
         for spec, row in zip(specs, rows):
             oracle = sum(np.exp(-1j * np.outer(times, evals)) @ p
                          for evals, p in dense_measure(spec, psi))
-            assert np.max(np.abs(row - oracle)) <= 1e-12
+            assert np.max(np.abs(row - oracle)) <= 1e-13
 
 
 def test_dataset_mixing_states(tmp_path, rng):

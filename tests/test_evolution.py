@@ -198,7 +198,7 @@ class TestStrangKernel:
             return _sector_pattern.cache_info(), _spin_blocks.cache_info()
         before = caches()
         with pytest.raises(ConfigError, match=r"\(n=24, magnetization=12\) "
-                           r"needs at least 1\.0 GB of pattern and components "
+                           r"needs at least 1\.1 GB of pattern and components "
                            r"> cap 1 GB"):
             amplitude_rows([random_spec(24, rng)], domain_wall(24),
                            np.arange(12.0), (8,) * 12)

@@ -104,7 +104,7 @@ def sector_apply(spec, k):
 
 
 class TestApplyHamiltonian:
-    # the sector H·v of the Lanczos oracle, against the Kronecker block
+    # the sector H·v of the moments, against the Kronecker block
     def test_matches_dense_oracle(self, rng):
         for n in range(2, 7):
             spec = random_spec(n, rng)
@@ -210,7 +210,7 @@ class TestSectorEigensystem:
     def test_magnetization_zero_sector(self, rng):
         spec = random_spec(5, rng)
         (rec,) = spectral_measures([spec], basis_state(5, "00000"))
-        assert rec.magnetization == 0 and rec.depth == 1
+        assert rec.magnetization == 0 and rec.eigenvalues.shape == (1, 1)
         # |0...0> eigenvalue equals the coupling sum (cross-check with H·v)
         lam = sector_apply(spec, 0)(np.ones(1))[0]
         assert rec.eigenvalues[0, 0] == pytest.approx(lam, abs=1e-12)
@@ -246,7 +246,7 @@ class TestSectorEigensystem:
     def test_half_filled_12_qubits(self, rng):
         spec = random_spec(12, rng)
         (rec,) = spectral_measures([spec], domain_wall(12))
-        assert rec.depth == 924
+        assert rec.probabilities.shape == (1, 924)
         assert rec.eigenvalues.shape == (1, 924)
         bound = spectral_bound(spec)
         assert np.all(np.abs(rec.eigenvalues) <= bound + 1e-9)

@@ -159,7 +159,8 @@ class TestFeatureStage:
         cmd_features(SMALL, small_dataset, out)
         header = out.read_text().splitlines()[0]
         assert header == ",".join(f"x{j}" for j in range(7))
-        x = read_features(out)
+        names, x = read_features(out)
+        assert names == header.split(",")
         assert x.shape == (24, 7)
         np.testing.assert_allclose(x[:, 0], 1.0, atol=1e-10)
         assert np.all(np.abs(x) <= 1 + 1e-10)
@@ -182,7 +183,7 @@ class TestFeatureStage:
         trot = replace(SMALL, backend="overlap-shots", shots=0,
                        schedule="16,16,16,16")
         cmd_features(trot, small_dataset, trot_out)
-        diff = np.abs(read_features(exact_out) - read_features(trot_out))
+        diff = np.abs(read_features(exact_out)[1] - read_features(trot_out)[1])
         assert 0 < diff.max() <= 1e-2
 
     def test_shot_features_deterministic(self, tmp_path, small_dataset):
@@ -238,7 +239,7 @@ class TestFeatureStage:
         cmd_features(config, tmp_path / "d.jsonl", tmp_path / "f.csv")
         psi = basis_state(4, "0000")
         for (spec, _, _), x in zip(read_dataset(tmp_path / "d.jsonl"),
-                                   read_features(tmp_path / "f.csv")):
+                                   read_features(tmp_path / "f.csv")[1]):
             a = [np.vdot(dense(psi), dense(trotter_evolve(spec, psi, t, 1)))
                  for t in config.feature_map().times()]
             np.testing.assert_allclose(x, [a[0].real, a[1].imag, a[1].real,
@@ -352,7 +353,7 @@ class TestTrainStage:
                      str(feats), "--out", str(tmp_path / "run")]) == 0
         train_idx, _ = split_indices(5, config.split, config.seed)
         assert len(train_idx) == 4
-        x = read_features(feats)[train_idx]
+        x = read_features(feats)[1][train_idx]
         y = np.array([row[2] for row in read_dataset(five)])[train_idx]
         weights = json.loads((tmp_path / "run" / "model.json").read_text())[
             "weights"]
@@ -409,6 +410,21 @@ class TestScatter:
             _, _, exact, estimated = line.split(",")
             assert exact == estimated
 
+    def test_each_input_is_read_once(self, tmp_path, small_dataset,
+                                     monkeypatch):
+        # the exact file's column names come from its one read
+        exact, noisy = tmp_path / "exact.csv", tmp_path / "noisy.csv"
+        cmd_features(SMALL, small_dataset, exact)
+        noisy.write_text(exact.read_text().replace("x", "y", 1))
+        reads, read_text = [], Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda path, *a, **kw: (
+            reads.append(path.name) or read_text(path, *a, **kw)))
+        cmd_scatter(exact, noisy, tmp_path / "scatter.csv")
+        assert sorted(reads) == ["exact.csv", "noisy.csv"]
+        header = exact.read_text().partition("\n")[0].split(",")
+        body = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+        assert [row.partition(",")[0] for row in body[:len(header)]] == header
+
     def test_shape_mismatch_rejected(self, tmp_path, small_dataset):
         from dataclasses import asdict, replace
         a = tmp_path / "a.csv"
@@ -461,9 +477,10 @@ class TestScatter:
         w = np.array([[float(r[3]), float(r[4])] for r in rows])
         w = w.reshape(24, config.k + 1, 4, 2)
         times = config.feature_map().times()
+        _, rows_x = read_features(tmp_path / "f.csv")
+        _, rows_x0 = read_features(tmp_path / "f0.csv")
         for (spec, _, _), x, x0, w_i in zip(read_dataset(small_dataset),
-                                            read_features(tmp_path / "f.csv"),
-                                            read_features(tmp_path / "f0.csv"), w):
+                                            rows_x, rows_x0, w):
             lambda_ref = overlap_reference(spec, SMALL.psi())
             est = reconstruct_amplitudes(w_i[..., 1], lambda_ref, times)
             np.testing.assert_array_equal(x[0::2], est.real)
@@ -701,8 +718,8 @@ class TestCli:
         (["generate", "--n", "16", "--num", "1", "--f", "step", "--out",
           "{tmp}/g.jsonl"], "needs 16.8 GB of spin blocks > cap 1 GB"),
         (["generate", "--n", "40", "--num", "1", "--out", "{tmp}/g.jsonl"],
-         "sector (n=40, magnetization=20) needs 189676.8 GB of pattern and "
-         "Lanczos chunk > cap 1 GB"),
+         "sector (n=40, magnetization=20) needs 167621.4 GB of pattern and "
+         "moment chunk > cap 1 GB"),
         (TRAIN + ["--in", "{cut_record}", "--features", "{feats}"],
          "cut_record line 3 is not JSON"),
         (TRAIN + ["--in", "{no_couplings}", "--features", "{feats}"],
@@ -728,6 +745,9 @@ class TestCli:
          "empty line 1 is not a header of column names"),
         (TRAIN + ["--in", "{data}", "--features", "{digit_separator}"],
          "digit_separator line 3 is not a row of finite numbers"),
+        (GENERATE + ["--c", "1"], "C = 1.0 is below the spectral bound 3.0"),
+        (GENERATE + ["--c", "1", "--f", "step", "--beta", "0"],
+         "C = 1.0 is below the spectral bound 3.0"),
     ])
     def test_refused_config_is_an_error_line(self, tmp_path, small_dataset,
                                              capsys, argv, message):

@@ -69,7 +69,7 @@ def test_every_public_function_has_a_caller():
     # (outside its own def and __init__.py; the CLI is cli.py) or by a demo,
     # not only by tests.  trotter_evolve is the one exception: it stays as
     # the one state-level entry to the Strang circuit, which the Kronecker
-    # tests need (ROADMAP item 5)
+    # tests need (ROADMAP item 8)
     demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in SOURCES + demos
              if path.name != "__init__.py"}

@@ -3,6 +3,7 @@ import pytest
 
 from hamfourier.features import overlap_reference
 from hamfourier.hamiltonians import ConfigError, spectral_measures
+from hamfourier.labels import FunctionSpec
 from hamfourier.states import (
     StateVector,
     basis_state,
@@ -157,16 +158,17 @@ class TestStateVector:
         assert v.amplitudes.tolist() == [0.6, 0.8j]
 
     def test_explicit_zero_on_a_second_sector_changes_nothing(self, rng):
-        # a zero-weight sector would reach the Lanczos start as 0/√0: the
+        # a zero-weight sector would run moments of a zero component: the
         # dropped zero gives the domain wall's records, bit for bit
         n, wall = 12, domain_wall(12)
         zero = StateVector(n, [int("000011111000", 2), *wall.support],
                            [0.0, 1.0])
         specs = [random_spec(n, rng) for _ in range(3)]
+        cos = FunctionSpec("cos", 3.0, 1.0).exponentials()
 
         def records(psi):
-            return [(r.magnetization, r.eigenvalues.tobytes(),
-                     r.probabilities.tobytes(), r.depth, r.gap)
-                    for r in spectral_measures(specs, psi, np.cos)]
+            return [(r.magnetization, r.moments.tobytes(), r.centre.tobytes(),
+                     r.half_width, r.bound)
+                    for r in spectral_measures(specs, psi, cos)]
         assert records(zero) == records(wall)
-        assert len(records(wall)) == len(specs)
+        assert len(records(wall)) == 1  # one chunk
